@@ -36,14 +36,6 @@ std::vector<std::pair<uint32_t, uint32_t>> FlattenPositions(
   return positions;
 }
 
-// Online SGD update for one token position against (input, output): sample a
-// context radius, then for each context word train the positive pair plus
-// `negatives` negative samples, applying the center gradient after each pair
-// (word2vec update order). The pair math lives in
-// kernels::FusedDotSigmoidUpdate. Shared by both parallel modes; all
-// randomness comes from `prng`, which callers fork off the position's global
-// index. `touched_in` / `touched_out` (nullable) flag the input/output rows
-// this position wrote, feeding the sharded dirty-row merge.
 // Prefetches the head of an embedding row; the hardware streamer follows the
 // rest of the (64B-aligned, contiguous) row once the first lines are inbound.
 inline void PrefetchRow(const double* row, size_t dim) {
@@ -51,13 +43,18 @@ inline void PrefetchRow(const double* row, size_t dim) {
   if (dim > 8) __builtin_prefetch(row + 8, /*rw=*/1, /*locality=*/2);
 }
 
+// Online SGD update for one token position against (input, output): sample a
+// context radius, then for each context word train the positive pair plus
+// `negatives` negative samples, applying the center gradient after each pair
+// (word2vec update order). The pair math lives in
+// kernels::FusedDotSigmoidUpdate. All randomness comes from `prng`, which the
+// caller forks off the position's global index.
 void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
                        double lr, int window, int negatives,
                        const UnigramNegativeSampler& sampler, Rng* prng,
                        size_t dim, Matrix* input, Matrix* output,
                        std::vector<double>* center_grad_buf,
-                       std::vector<uint32_t>* neg_buf, uint8_t* touched_in,
-                       uint8_t* touched_out) {
+                       std::vector<uint32_t>* neg_buf) {
   const int radius =
       1 + static_cast<int>(prng->NextBelow(static_cast<uint64_t>(window)));
   const uint32_t center = walk[pos];
@@ -69,11 +66,9 @@ void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
                static_cast<size_t>(pos) + static_cast<size_t>(radius) + 1);
   double* w = input->RowPtr(center);
   double* center_grad = center_grad_buf->data();
-  if (touched_in != nullptr) touched_in[center] = 1;
   auto train_pair = [&](uint32_t context, double label) {
     kernels::FusedDotSigmoidUpdate(w, output->RowPtr(context), center_grad,
                                    dim, label, lr);
-    if (touched_out != nullptr) touched_out[context] = 1;
   };
   for (size_t ctx_pos = lo_ctx; ctx_pos < hi_ctx; ++ctx_pos) {
     if (ctx_pos == pos) continue;
@@ -100,26 +95,30 @@ void UpdateOnePosition(const std::vector<uint32_t>& walk, uint32_t pos,
   }
 }
 
-}  // namespace
-
-// Shared sampling state for one Train call. Every position derives its
-// learning rate from its global index and its randomness (window radius,
-// negative draws) from an Rng forked off that index, so results do not
-// depend on which thread processes which position.
-struct SkipGramTrainer::PairStream {
-  const UnigramNegativeSampler* sampler = nullptr;
-  double lr0 = 0.0;
-  double lr_min = 0.0;
-  size_t total_work = 0;
-  int window = 1;
-  int negatives = 0;
-
-  double LrAt(size_t global_position) const {
-    const double progress = static_cast<double>(global_position) /
-                            static_cast<double>(total_work);
-    return std::max(lr_min, lr0 * (1.0 - progress));
+// Parameter mixing at the epoch boundary: overwrite `base` with the replica
+// average, accumulating in shard order (copy rep[0], add rep[1..S-1], scale)
+// so the floating-point order is fixed. Cache-blocked: rows are merged in
+// blocks, and within a block each replica is read as one contiguous span
+// rather than re-touched once per row -- S short sequential streams the
+// hardware prefetcher can follow. Add and Scale are elementwise, so the
+// blocking does not change a single bit of the result.
+void MergeReplicas(const std::vector<Matrix>& rep, Matrix* base) {
+  constexpr size_t kMergeRowBlock = 64;
+  const size_t rows = base->rows();
+  const size_t dim = base->cols();
+  const double inv = 1.0 / static_cast<double>(rep.size());
+  for (size_t r0 = 0; r0 < rows; r0 += kMergeRowBlock) {
+    const size_t n = (std::min(rows, r0 + kMergeRowBlock) - r0) * dim;
+    double* dst = base->RowPtr(r0);
+    std::memcpy(dst, rep[0].RowPtr(r0), n * sizeof(double));
+    for (size_t s = 1; s < rep.size(); ++s) {
+      kernels::Add(dst, rep[s].RowPtr(r0), n);
+    }
+    kernels::Scale(dst, inv, n);
   }
-};
+}
+
+}  // namespace
 
 SkipGramTrainer::SkipGramTrainer(size_t vocab_size,
                                  const SkipGramConfig& config)
@@ -151,37 +150,28 @@ void SkipGramTrainer::Train(const std::vector<std::vector<uint32_t>>& corpus,
   // epoch/shard (tests/kernels_test.cc pins this via the counter).
   static obs::Counter& sampler_builds =
       obs::MetricsRegistry::Instance().GetCounter("skipgram.sampler_builds");
-  UnigramNegativeSampler sampler(freqs, config_.sampling_power);
+  const UnigramNegativeSampler sampler(freqs, config_.sampling_power);
   sampler_builds.Increment();
 
-  PairStream stream;
-  stream.sampler = &sampler;
-  stream.lr0 = config_.initial_lr;
-  stream.lr_min = config_.initial_lr * config_.min_lr_fraction;
-  stream.total_work = total_tokens * static_cast<size_t>(config_.epochs);
-  stream.window = config_.window;
-  stream.negatives = config_.negatives;
-
-  if (config_.parallel == SkipGramParallelMode::kHogwild) {
-    TrainHogwild(corpus, stream, rng);
-  } else {
-    TrainSharded(corpus, stream, rng);
-  }
-}
-
-void SkipGramTrainer::TrainSharded(
-    const std::vector<std::vector<uint32_t>>& corpus, const PairStream& stream,
-    Rng* rng) {
+  // Every position derives its learning rate from its global index and its
+  // randomness (window radius, negative draws) from an Rng forked off that
+  // index, so results do not depend on which thread processes which position.
   const size_t dim = config_.dim;
+  const double lr_min = config_.initial_lr * config_.min_lr_fraction;
+  const size_t total_work = total_tokens * static_cast<size_t>(config_.epochs);
+  const auto lr_at = [&](size_t global_position) {
+    const double progress = static_cast<double>(global_position) /
+                            static_cast<double>(total_work);
+    return std::max(lr_min, config_.initial_lr * (1.0 - progress));
+  };
+
   std::vector<size_t> order(corpus.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  // Replica and dirty-flag storage persists across epochs (re-copied from
-  // the shared parameters each epoch without reallocating).
+  // Replica storage persists across epochs (re-copied from the shared
+  // parameters each epoch without reallocating).
   std::vector<Matrix> rep_in;
   std::vector<Matrix> rep_out;
-  std::vector<std::vector<uint8_t>> touched_in;
-  std::vector<std::vector<uint8_t>> touched_out;
 
   size_t epoch_base = 0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -202,142 +192,35 @@ void SkipGramTrainer::TrainSharded(
       TG_TRACE_SPAN("skipgram_replicate");
       rep_in.resize(shards);
       rep_out.resize(shards);
-      touched_in.resize(shards);
-      touched_out.resize(shards);
       for (size_t s = 0; s < shards; ++s) {
         rep_in[s] = input_;
         rep_out[s] = output_;
-        touched_in[s].assign(vocab_size_, 0);
-        touched_out[s].assign(vocab_size_, 0);
       }
     }
     ParallelFor(0, shards, 1, [&](size_t s0, size_t s1, size_t /*chunk*/) {
       TG_TRACE_SPAN("skipgram_shard_train");
       std::vector<double> center_grad(dim);
       std::vector<uint32_t> neg_buf;
-      neg_buf.reserve(static_cast<size_t>(std::max(stream.negatives, 1)));
+      neg_buf.reserve(static_cast<size_t>(std::max(config_.negatives, 1)));
       for (size_t s = s0; s < s1; ++s) {
         const size_t lo = s * block;
         const size_t hi = std::min(positions.size(), lo + block);
         for (size_t i = lo; i < hi; ++i) {
           const auto& [wi, pos] = positions[i];
           Rng prng = rng->Fork(kPositionStreamBase + epoch_base + i);
-          UpdateOnePosition(corpus[wi], pos, stream.LrAt(epoch_base + i),
-                            stream.window, stream.negatives, *stream.sampler,
-                            &prng, dim, &rep_in[s], &rep_out[s], &center_grad,
-                            &neg_buf, touched_in[s].data(),
-                            touched_out[s].data());
+          UpdateOnePosition(corpus[wi], pos, lr_at(epoch_base + i),
+                            config_.window, config_.negatives, sampler, &prng,
+                            dim, &rep_in[s], &rep_out[s], &center_grad,
+                            &neg_buf);
         }
       }
     });
 
-    MergeShards(rep_in, rep_out, touched_in, touched_out);
-    epoch_base += positions.size();
-  }
-}
-
-// Parameter mixing at the epoch boundary: overwrite the shared parameters
-// with the replica average, accumulating in shard order (fixed
-// floating-point order). Rows no shard touched are exact copies of the base
-// row in every replica, so their cross-replica average collapses to
-// kernels::ReplicatedMean of the base value -- bit-identical to the full
-// merge (asserted in tests/kernels_test.cc) without reading S replicas'
-// worth of memory. config_.full_matrix_merge forces the reference path.
-void SkipGramTrainer::MergeShards(
-    const std::vector<Matrix>& rep_in, const std::vector<Matrix>& rep_out,
-    const std::vector<std::vector<uint8_t>>& touched_in,
-    const std::vector<std::vector<uint8_t>>& touched_out) {
-  TG_TRACE_SPAN("skipgram_merge");
-  const size_t dim = config_.dim;
-  const size_t shards = rep_in.size();
-  const double inv = 1.0 / static_cast<double>(shards);
-  static obs::Counter& dirty_rows = obs::MetricsRegistry::Instance().GetCounter(
-      "skipgram.merge.dirty_rows");
-  static obs::Counter& clean_rows = obs::MetricsRegistry::Instance().GetCounter(
-      "skipgram.merge.clean_rows");
-
-  // Cache-blocked: rows are merged in blocks, and within a block each shard
-  // replica is walked in one sequential pass rather than re-touched once per
-  // row -- S short sequential streams the hardware prefetcher can follow
-  // instead of S scattered reads per row. The per-row arithmetic sequence
-  // (copy rep[0], add reps 1..S-1 in shard order, scale) is unchanged, so
-  // the merge stays bit-identical to the unblocked form; rows merely
-  // interleave, and no row reads another row's data.
-  constexpr size_t kMergeRowBlock = 64;
-  std::vector<uint8_t> row_dirty(kMergeRowBlock);
-  const auto merge_matrix = [&](Matrix* base, const std::vector<Matrix>& rep,
-                                const std::vector<std::vector<uint8_t>>&
-                                    touched) {
-    size_t dirty = 0;
-    for (size_t r0 = 0; r0 < vocab_size_; r0 += kMergeRowBlock) {
-      const size_t r1 = std::min(vocab_size_, r0 + kMergeRowBlock);
-      for (size_t r = r0; r < r1; ++r) {
-        bool is_dirty = config_.full_matrix_merge;
-        for (size_t s = 0; s < shards && !is_dirty; ++s) {
-          is_dirty = touched[s][r] != 0;
-        }
-        row_dirty[r - r0] = is_dirty ? 1 : 0;
-        dirty += is_dirty ? 1 : 0;
-      }
-      for (size_t r = r0; r < r1; ++r) {
-        if (row_dirty[r - r0]) {
-          std::memcpy(base->RowPtr(r), rep[0].RowPtr(r),
-                      dim * sizeof(double));
-        } else {
-          kernels::ReplicatedMean(base->RowPtr(r), shards, inv, dim);
-        }
-      }
-      for (size_t s = 1; s < shards; ++s) {
-        for (size_t r = r0; r < r1; ++r) {
-          if (row_dirty[r - r0]) {
-            kernels::Add(base->RowPtr(r), rep[s].RowPtr(r), dim);
-          }
-        }
-      }
-      for (size_t r = r0; r < r1; ++r) {
-        if (row_dirty[r - r0]) kernels::Scale(base->RowPtr(r), inv, dim);
-      }
+    {
+      TG_TRACE_SPAN("skipgram_merge");
+      MergeReplicas(rep_in, &input_);
+      MergeReplicas(rep_out, &output_);
     }
-    dirty_rows.Increment(dirty);
-    clean_rows.Increment(vocab_size_ - dirty);
-  };
-  merge_matrix(&input_, rep_in, touched_in);
-  merge_matrix(&output_, rep_out, touched_out);
-}
-
-void SkipGramTrainer::TrainHogwild(
-    const std::vector<std::vector<uint32_t>>& corpus, const PairStream& stream,
-    Rng* rng) {
-  const size_t dim = config_.dim;
-  std::vector<size_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  size_t epoch_base = 0;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    TG_TRACE_SPAN("skipgram_epoch");
-    rng->Shuffle(&order);
-    const auto positions = FlattenPositions(corpus, order);
-
-    // Lock-free updates straight into the shared matrices; races between
-    // positions touching the same rows are the accepted Hogwild tradeoff.
-    ParallelFor(0, positions.size(), 256,
-                [&](size_t lo, size_t hi, size_t /*chunk*/) {
-                  std::vector<double> center_grad(dim);
-                  std::vector<uint32_t> neg_buf;
-                  neg_buf.reserve(
-                      static_cast<size_t>(std::max(stream.negatives, 1)));
-                  for (size_t i = lo; i < hi; ++i) {
-                    const auto& [wi, pos] = positions[i];
-                    Rng prng = rng->Fork(kPositionStreamBase + epoch_base + i);
-                    UpdateOnePosition(corpus[wi], pos,
-                                      stream.LrAt(epoch_base + i),
-                                      stream.window, stream.negatives,
-                                      *stream.sampler, &prng, dim, &input_,
-                                      &output_, &center_grad, &neg_buf,
-                                      /*touched_in=*/nullptr,
-                                      /*touched_out=*/nullptr);
-                  }
-                });
     epoch_base += positions.size();
   }
 }

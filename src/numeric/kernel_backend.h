@@ -76,10 +76,6 @@ struct KernelBackend {
   double (*fused_dot_sigmoid_update)(const double* w, double* c,
                                      double* center_grad, size_t n,
                                      double label, double lr);
-  // Must reproduce the exact per-element accumulate-count-times-then-scale
-  // sequence in every backend (the dirty-row merge equivalence relies on
-  // it); vectorizing across elements is fine, across the count loop is not.
-  void (*replicated_mean)(double* y, size_t count, double inv, size_t n);
 };
 
 // The fixed-order scalar table; always compiled, always supported.

@@ -230,10 +230,4 @@ double FusedDotSigmoidUpdateScalarRef(const double* w, double* c,
   return g;
 }
 
-// --- Replica averaging -------------------------------------------------------
-
-void ReplicatedMean(double* y, size_t count, double inv, size_t n) {
-  ActiveBackend().replicated_mean(y, count, inv, n);
-}
-
 }  // namespace tg::kernels

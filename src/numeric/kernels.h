@@ -14,8 +14,8 @@
 // scalar code; tests/kernels_test.cc asserts that on adversarial lengths
 // (0, 1, dim +/- 1, unaligned tails). Vector backends reassociate reductions
 // and contract to FMA, staying within the ulp envelope documented in
-// docs/performance.md; Add/Sub/Mul/Scale and ReplicatedMean are bit-identical
-// across ALL backends (one IEEE operation per element / per step).
+// docs/performance.md; Add/Sub/Mul/Scale are bit-identical across ALL
+// backends (one IEEE operation per element).
 //
 // Kernel order for reductions over n elements: four interleaved partial
 // accumulators acc[j] (j = i mod 4) over the largest multiple-of-4 prefix,
@@ -125,16 +125,6 @@ double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,
 double FusedDotSigmoidUpdateScalarRef(const double* w, double* c,
                                       double* center_grad, size_t n,
                                       double label, double lr);
-
-// --- Replica averaging (sharded skip-gram merge) ----------------------------
-
-// In-place mean of `count` bit-identical copies of y: for each element,
-// accumulates y[i] into itself count times sequentially and scales by `inv`
-// (the caller's precomputed 1.0 / count). Bit-identical to summing the same
-// value from `count` replicas in shard order, which is what makes the
-// dirty-row merge exactly reproduce the full-matrix merge on untouched rows
-// (see docs/performance.md).
-void ReplicatedMean(double* y, size_t count, double inv, size_t n);
 
 }  // namespace tg::kernels
 

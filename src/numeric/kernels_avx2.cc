@@ -11,9 +11,6 @@
 //     instead of two).
 //   * Add / Sub / Mul / Scale perform the same single IEEE operation per
 //     element as every other backend: bit-identical by construction.
-//   * ReplicatedMean keeps the per-element accumulate-count-times-then-scale
-//     sequence (vectorized across elements, never across the count loop) and
-//     uses no FMA, so it too is bit-identical to the scalar backend.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 #include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
@@ -168,23 +165,6 @@ double FusedDotSigmoidUpdateAvx2(const double* w, double* c,
   return g;
 }
 
-void ReplicatedMeanAvx2(double* y, size_t count, double inv, size_t n) {
-  const __m256d vinv = _mm256_set1_pd(inv);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(y + i);
-    __m256d acc = x;
-    for (size_t s = 1; s < count; ++s) acc = _mm256_add_pd(acc, x);
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(acc, vinv));
-  }
-  for (; i < n; ++i) {
-    const double x = y[i];
-    double acc = x;
-    for (size_t s = 1; s < count; ++s) acc += x;
-    y[i] = acc * inv;
-  }
-}
-
 const KernelBackend kAvx2Backend = {
     "avx2",
     DotAvx2,
@@ -203,7 +183,6 @@ const KernelBackend kAvx2Backend = {
     generic::HistAccumulatePrefetch<uint8_t>,
     generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateAvx2,
-    ReplicatedMeanAvx2,
 };
 
 }  // namespace

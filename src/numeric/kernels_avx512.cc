@@ -4,7 +4,7 @@
 //
 // Same numerics policy as kernels_avx2.cc: reductions and FMA-bearing
 // kernels sit inside the documented ulp envelope vs the scalar backend;
-// Add/Sub/Mul/Scale and ReplicatedMean are bit-identical across backends.
+// Add/Sub/Mul/Scale are bit-identical across backends.
 // Tails under 8 elements use masked loads/stores rather than scalar loops so
 // the whole kernel stays in one code shape.
 #include "numeric/kernel_backend.h"
@@ -185,24 +185,6 @@ double FusedDotSigmoidUpdateAvx512(const double* w, double* c,
   return g;
 }
 
-void ReplicatedMeanAvx512(double* y, size_t count, double inv, size_t n) {
-  const __m512d vinv = _mm512_set1_pd(inv);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d x = _mm512_loadu_pd(y + i);
-    __m512d acc = x;
-    for (size_t s = 1; s < count; ++s) acc = _mm512_add_pd(acc, x);
-    _mm512_storeu_pd(y + i, _mm512_mul_pd(acc, vinv));
-  }
-  if (i < n) {
-    const __mmask8 m = TailMask(n - i);
-    const __m512d x = _mm512_maskz_loadu_pd(m, y + i);
-    __m512d acc = x;
-    for (size_t s = 1; s < count; ++s) acc = _mm512_add_pd(acc, x);
-    _mm512_mask_storeu_pd(y + i, m, _mm512_mul_pd(acc, vinv));
-  }
-}
-
 const KernelBackend kAvx512Backend = {
     "avx512",
     DotAvx512,
@@ -217,7 +199,6 @@ const KernelBackend kAvx512Backend = {
     generic::HistAccumulatePrefetch<uint8_t>,
     generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateAvx512,
-    ReplicatedMeanAvx512,
 };
 
 }  // namespace

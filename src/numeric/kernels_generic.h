@@ -195,15 +195,6 @@ inline double FusedDotSigmoidUpdate(const double* __restrict w,
   return g;
 }
 
-inline void ReplicatedMean(double* y, size_t count, double inv, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double x = y[i];
-    double acc = x;
-    for (size_t s = 1; s < count; ++s) acc += x;
-    y[i] = acc * inv;
-  }
-}
-
 }  // namespace tg::kernels::generic
 
 #endif  // TG_NUMERIC_KERNELS_GENERIC_H_

@@ -4,8 +4,7 @@
 //
 // Same numerics policy as the x86 vector backends: two-lane accumulator
 // reductions and vfmaq contraction sit inside the documented ulp envelope vs
-// the scalar backend; Add/Sub/Mul/Scale and ReplicatedMean are bit-identical
-// across backends.
+// the scalar backend; Add/Sub/Mul/Scale are bit-identical across backends.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
 #include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
@@ -126,23 +125,6 @@ double FusedDotSigmoidUpdateNeon(const double* w, double* c,
   return g;
 }
 
-void ReplicatedMeanNeon(double* y, size_t count, double inv, size_t n) {
-  const float64x2_t vinv = vdupq_n_f64(inv);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t x = vld1q_f64(y + i);
-    float64x2_t acc = x;
-    for (size_t s = 1; s < count; ++s) acc = vaddq_f64(acc, x);
-    vst1q_f64(y + i, vmulq_f64(acc, vinv));
-  }
-  for (; i < n; ++i) {
-    const double x = y[i];
-    double acc = x;
-    for (size_t s = 1; s < count; ++s) acc += x;
-    y[i] = acc * inv;
-  }
-}
-
 const KernelBackend kNeonBackend = {
     "neon",
     DotNeon,
@@ -157,7 +139,6 @@ const KernelBackend kNeonBackend = {
     generic::HistAccumulatePrefetch<uint8_t>,
     generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateNeon,
-    ReplicatedMeanNeon,
 };
 
 }  // namespace

@@ -23,7 +23,6 @@ const KernelBackend kScalarBackend = {
     generic::HistAccumulate<uint8_t>,
     generic::HistAccumulate<uint16_t>,
     generic::FusedDotSigmoidUpdate,
-    generic::ReplicatedMean,
 };
 
 }  // namespace

@@ -275,6 +275,15 @@ Status StartTelemetry(int port) {
     response.body = "ok\n";
     return response;
   });
+  // Serve the sweep heartbeat gauges from the first scrape, at 0 until a
+  // sweep publishes them (the values /statusz already reports): a client
+  // polling a sweep that is still building its zoo must see "0 done", not a
+  // missing series.
+  for (const char* name :
+       {"sweep.targets_total", "sweep.targets_done", "sweep.targets_retried",
+        "sweep.targets_degraded", "sweep.targets_failed"}) {
+    MetricsRegistry::Instance().GetGauge(name);
+  }
   server->set_error_callback([](const Status& error) {
     LatchUnavailable(error.ToString());
     std::fprintf(stderr, "telemetry serve loop down: %s\n",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace tg {
 namespace {
@@ -21,10 +24,16 @@ thread_local bool t_in_worker = false;
 
 size_t DefaultThreadCount() {
   static const size_t cached = [] {
-    if (const char* env = std::getenv("TG_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && v > 0) return static_cast<size_t>(v);
+    const char* env = std::getenv("TG_THREADS");
+    if (env != nullptr && env[0] != '\0') {
+      uint64_t v = 0;
+      if (ParseUint64(env, &v) && v > 0) return static_cast<size_t>(v);
+      // Same policy as TG_ISA / TG_TREE: a forced knob must never silently
+      // fall back.
+      std::fprintf(stderr,
+                   "TG_THREADS=%s: expected a positive decimal integer\n",
+                   env);
+      std::exit(1);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<size_t>(hw > 0 ? hw : 1);

@@ -7,7 +7,8 @@
 // for any TG_THREADS value, including 1. See docs/threading.md.
 //
 // The worker count is process-wide: the TG_THREADS environment variable when
-// set (and positive), otherwise std::thread::hardware_concurrency(), and
+// set and non-empty (it must be a positive decimal integer; anything else is
+// a hard error), otherwise std::thread::hardware_concurrency(), and
 // SetThreadCount() overrides both at runtime (tests use this to compare
 // thread counts in-process).
 #ifndef TG_UTIL_THREAD_POOL_H_

@@ -150,23 +150,6 @@ TEST_F(KernelsTest, FusedDotSigmoidUpdateMatchesScalarRefBitForBit) {
   }
 }
 
-TEST_F(KernelsTest, ReplicatedMeanMatchesExplicitShardOrderSum) {
-  Rng rng(29);
-  for (size_t count : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8}}) {
-    const size_t n = 129;
-    const std::vector<double> base = MixedMagnitude(n, &rng);
-    std::vector<double> mean = base;
-    kernels::ReplicatedMean(mean.data(), count, 1.0 / count, n);
-    for (size_t i = 0; i < n; ++i) {
-      // The merge accumulates the same replica value `count` times in shard
-      // order, then scales; ReplicatedMean must reproduce that exactly.
-      double acc = base[i];
-      for (size_t s = 1; s < count; ++s) acc += base[i];
-      EXPECT_EQ(mean[i], acc * (1.0 / count)) << "count=" << count << " i=" << i;
-    }
-  }
-}
-
 // --- Backend dispatch --------------------------------------------------------
 
 TEST_F(KernelsTest, DispatchKnobsBehave) {
@@ -333,29 +316,6 @@ TEST_F(KernelsTest, EveryBackendElementwiseBitIdentical) {
         kernels::Scale(got.data() + off, s, n);
         for (size_t i = 0; i < n; ++i) want[off + i] *= s;
         EXPECT_EQ(got, want) << backend << " Scale n=" << n << " off=" << off;
-      }
-    }
-  }
-}
-
-TEST_F(KernelsTest, EveryBackendReplicatedMeanBitIdentical) {
-  // ReplicatedMean must preserve the per-element accumulate-count-times
-  // sequence in every backend (the dirty-row merge equivalence depends on
-  // it), which also makes it exactly equal across backends.
-  for (const std::string& backend : kernels::AvailableBackendNames()) {
-    ASSERT_TRUE(kernels::SetActiveBackend(backend));
-    Rng rng(29);
-    for (size_t count : {size_t{1}, size_t{3}, size_t{8}}) {
-      for (size_t n : {size_t{5}, size_t{64}, size_t{129}}) {
-        const std::vector<double> base = MixedMagnitude(n, &rng);
-        std::vector<double> mean = base;
-        kernels::ReplicatedMean(mean.data(), count, 1.0 / count, n);
-        for (size_t i = 0; i < n; ++i) {
-          double acc = base[i];
-          for (size_t s = 1; s < count; ++s) acc += base[i];
-          EXPECT_EQ(mean[i], acc * (1.0 / count))
-              << backend << " count=" << count << " n=" << n << " i=" << i;
-        }
       }
     }
   }
@@ -585,42 +545,41 @@ TEST_F(KernelsTest, NegativeSamplerBuiltExactlyOncePerTrain) {
   EXPECT_EQ(builds.value() - before, 1u);
 }
 
-// The dirty-row merge must reproduce the full-matrix merge bit-for-bit: with
-// a vocab much larger than the tokens actually used, most rows stay clean
-// and take the ReplicatedMean path, which is provably identical to averaging
-// the untouched (hence equal) replica copies.
-TEST_F(KernelsTest, DirtyRowMergeMatchesFullMatrixMergeBitForBit) {
-  const size_t vocab = 64;
-  const uint32_t used = 12;  // rows [12, 64) stay clean in every epoch
-  const auto corpus = MakeCorpus(used, 8, 25, 77);
-
-  auto train = [&](bool full_matrix_merge) {
+// Bit-level anchors for the sharded trainer under the scalar backend and the
+// tabulated sigmoid: a refactor of Train or of the epoch-boundary merge must
+// keep reproducing these exact doubles. The second case uses a vocab much
+// larger than the tokens in the corpus, so most rows are never written by any
+// shard and the merge averages S identical replica copies of them.
+TEST_F(KernelsTest, ShardedTrainingMatchesGoldenBits) {
+  kernels::SetSigmoidMode(kernels::SigmoidMode::kTabulated);
+  auto train = [](size_t vocab, uint32_t used, size_t sentences,
+                  size_t length, uint64_t corpus_seed, uint64_t train_seed) {
     SkipGramConfig config;
     config.dim = 16;
     config.epochs = 2;
     config.num_shards = 4;
-    config.full_matrix_merge = full_matrix_merge;
     SkipGramTrainer trainer(vocab, config);
-    Rng rng(7);
-    trainer.Train(corpus, &rng);
-    return trainer.embeddings();
+    Rng rng(train_seed);
+    trainer.Train(MakeCorpus(used, sentences, length, corpus_seed), &rng);
+    return trainer;
   };
+  const SkipGramTrainer dense = train(24, 24, 10, 30, 123, 9);
+  const Matrix& e = dense.embeddings();
+  EXPECT_EQ(BitsOf(kernels::Sum(e.data(), e.rows() * e.cols())),
+            0xbfc3fd700e7b03b0ULL);
+  EXPECT_EQ(BitsOf(kernels::Sum(e.RowPtr(0), e.cols())), 0xbfb6f861fbbb5971ULL);
+  EXPECT_EQ(BitsOf(kernels::Sum(e.RowPtr(23), e.cols())),
+            0xbf79bd1bac412c18ULL);
+  EXPECT_EQ(BitsOf(dense.PairProbability(3, 5)), 0x3fe0008ea0e0107cULL);
 
-  obs::Counter& clean = obs::MetricsRegistry::Instance().GetCounter(
-      "skipgram.merge.clean_rows");
-  const uint64_t clean_before = clean.value();
-  const Matrix dirty_path = train(false);
-  // The dirty-row run must actually exercise the clean-row fast path.
-  EXPECT_GT(clean.value(), clean_before);
-  const Matrix full_path = train(true);
-
-  ASSERT_EQ(dirty_path.rows(), full_path.rows());
-  ASSERT_EQ(dirty_path.cols(), full_path.cols());
-  for (size_t r = 0; r < dirty_path.rows(); ++r) {
-    for (size_t c = 0; c < dirty_path.cols(); ++c) {
-      EXPECT_EQ(dirty_path(r, c), full_path(r, c)) << r << "," << c;
-    }
-  }
+  const SkipGramTrainer sparse = train(64, 12, 8, 25, 77, 7);
+  const Matrix& s = sparse.embeddings();
+  EXPECT_EQ(BitsOf(kernels::Sum(s.data(), s.rows() * s.cols())),
+            0x3fa678e065f7bcc0ULL);
+  EXPECT_EQ(BitsOf(kernels::Sum(s.RowPtr(5), s.cols())), 0x3f8801aad0e9c760ULL);
+  EXPECT_EQ(BitsOf(kernels::Sum(s.RowPtr(40), s.cols())),
+            0xbfa52317c1091903ULL);
+  EXPECT_EQ(BitsOf(sparse.PairProbability(40, 5)), 0x3fe00047fdcad754ULL);
 }
 
 TEST_F(KernelsTest, ShardedTrainingBitIdenticalAcrossThreadCounts) {

@@ -1,9 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,21 @@ TEST_F(ThreadPoolTest, ThreadCountIsAtLeastOne) {
   EXPECT_EQ(ThreadCount(), 3u);
   SetThreadCount(0);
   EXPECT_GE(ThreadCount(), 1u);
+}
+
+// TG_THREADS follows the TG_ISA / TG_TREE policy: anything but a positive
+// decimal integer is a hard error that names the value. The threadsafe
+// death-test style re-executes the binary, so each child resolves the knob
+// from scratch instead of reusing this process's cached default.
+TEST_F(ThreadPoolTest, MalformedThreadsEnvIsHardError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "4abc", "0", "-2", " 4"}) {
+    ASSERT_EQ(setenv("TG_THREADS", bad, 1), 0);
+    EXPECT_EXIT(ThreadCount(), ::testing::ExitedWithCode(1),
+                std::string("TG_THREADS=") + bad + ": expected a positive")
+        << bad;
+  }
+  unsetenv("TG_THREADS");
 }
 
 TEST_F(ThreadPoolTest, EmptyRangeNeverInvokesFunction) {

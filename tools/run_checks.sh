@@ -8,7 +8,8 @@
 # (with an injected-regression self-test of the gate, pinned
 # skipgram_sharded/random_forest_fit stage ratios, an absolute
 # random_forest_fit wall-time ceiling, and hardware-counter ratio gates), a
-# tree-engine gate (TG_TREE resolution, a bogus-value hard-error check, and
+# tree-engine gate (TG_TREE resolution, bogus-value hard-error checks for
+# TG_TREE, TG_THREADS and a malformed --models flag, and
 # a TG_TREE=hist rank smoke under ASan), a distributed-sweep chaos gate
 # (three workers sharing a workdir with one kill -9'd mid-run: the
 # survivors must reclaim the expired lease and sweep-merge must emit an
@@ -331,6 +332,22 @@ TG_TREE=hist ./build-release/tools/tg_cli backend \
 }
 if TG_TREE=bogus ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
   echo "TG_TREE with a bogus engine must fail hard, not fall back" >&2
+  exit 1
+fi
+# Same strictness for TG_THREADS and for numeric flags: a malformed value is
+# a clean non-zero exit that names it, never a silent fallback and never an
+# uncaught-exception abort (exit 134).
+if TG_THREADS=abc ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
+  echo "TG_THREADS=abc must fail hard, not fall back" >&2
+  exit 1
+fi
+set +e
+./build-release/tools/tg_cli catalog --models x >/dev/null 2>&1
+BAD_MODELS_RC=$?
+set -e
+if [ "$BAD_MODELS_RC" -eq 0 ] || [ "$BAD_MODELS_RC" -eq 134 ]; then
+  echo "tg_cli catalog --models x must exit non-zero without aborting" \
+      "(got $BAD_MODELS_RC)" >&2
   exit 1
 fi
 # Full rank pipeline on the histogram engine under ASan: the recycled

@@ -23,8 +23,9 @@
 //   graph-stats [--modality M]      Table II-style graph statistics
 //   export-graph --out FILE         write the constructed graph as TSV
 //   export-history --out FILE       write the training history as CSV
-//   backend                         print active + available kernel backends
-//                                   (honors TG_ISA; see docs/performance.md)
+//   backend                         print active + available kernel backends,
+//                                   tree engine and thread count (honors
+//                                   TG_ISA, TG_TREE, TG_THREADS)
 //   profile [rank options]          rank (default --target 0) under the
 //                                   sampling profiler and print the report
 //                                   (implies --profile; honors --profile-out)
@@ -68,11 +69,15 @@
 //                   heartbeat event to F as structured JSON lines
 //                   (TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS tune shedding)
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/baselines.h"
@@ -97,6 +102,7 @@
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "zoo/history_export.h"
 #include "zoo/model_zoo.h"
 
@@ -106,6 +112,7 @@ namespace {
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> options;
+  zoo::ModelZooConfig zoo;  // --models applied (validated by ParseArgs)
 
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = options.find(key);
@@ -149,6 +156,48 @@ int Usage() {
                "  profile runs rank (default --target 0) under the profiler "
                "and prints the report\n");
   return 2;
+}
+
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return Usage();
+}
+
+// The one parse for every numeric flag value. The whole string must be a
+// number in [lo, hi]: integers take plain decimal digits only (no sign,
+// exponent or trailing bytes), doubles must be finite. Unlike std::stoi /
+// std::stod this never throws, so a malformed value is a usage error that
+// names the flag, never an abort.
+template <typename T>
+Result<T> ParseNumberFlag(const std::string& flag, const std::string& text,
+                          T lo, T hi) {
+  constexpr bool kIntegral = std::is_integral_v<T>;
+  bool parsed = false;
+  T value{};
+  if constexpr (kIntegral) {
+    uint64_t u = 0;
+    parsed = ParseUint64(text, &u) && u <= static_cast<uint64_t>(hi);
+    value = static_cast<T>(u);
+  } else {
+    parsed = ParseDouble(text, &value) && std::isfinite(value);
+  }
+  if (!parsed || value < lo || value > hi) {
+    const auto bound = [](T v) {
+      char buf[32];
+      if constexpr (kIntegral) {
+        std::snprintf(buf, sizeof(buf), "%llu",
+                      static_cast<unsigned long long>(v));
+      } else {
+        std::snprintf(buf, sizeof(buf), "%g", v);
+      }
+      return std::string(buf);
+    };
+    return Status::InvalidArgument(
+        "--" + flag + ": invalid value '" + text + "' (expected " +
+        (kIntegral ? "an integer" : "a number") + " in [" + bound(lo) + ", " +
+        bound(hi) + "])");
+  }
+  return value;
 }
 
 // SIGTERM/SIGINT request a graceful sweep drain instead of killing the
@@ -196,6 +245,13 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       i += 2;
     }
   }
+  const std::string models = args.Get("models", "");
+  if (!models.empty()) {
+    Result<int> count = ParseNumberFlag("models", models, 1, INT_MAX);
+    if (!count.ok()) return count.status();
+    args.zoo.catalog.num_image_models = count.value();
+    args.zoo.catalog.num_text_models = count.value();
+  }
   return args;
 }
 
@@ -238,18 +294,8 @@ Result<LogLevel> ParseLogLevel(const std::string& text) {
   return Status::InvalidArgument("unknown log level: " + text);
 }
 
-zoo::ModelZooConfig ZooConfigFrom(const CliArgs& args) {
-  zoo::ModelZooConfig config;
-  const std::string models = args.Get("models", "");
-  if (!models.empty()) {
-    config.catalog.num_image_models = std::stoi(models);
-    config.catalog.num_text_models = std::stoi(models);
-  }
-  return config;
-}
-
 int RunCatalog(const CliArgs& args) {
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   TablePrinter datasets({"dataset", "modality", "samples", "classes",
                          "role"});
   for (const zoo::DatasetInfo& d : zoo.datasets()) {
@@ -328,7 +374,7 @@ int RunRank(const CliArgs& args) {
                                                           "image"));
   if (!modality.ok()) return Usage();
 
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   size_t target = 0;
   bool found = false;
   const bool numeric = !target_name.empty() &&
@@ -337,11 +383,13 @@ int RunRank(const CliArgs& args) {
   if (numeric) {
     // Numeric targets index the modality's evaluation-target roster (the
     // paper's Table III rows): `--modality image --target 0` = caltech101.
+    Result<size_t> index =
+        ParseNumberFlag("target", target_name, size_t{0}, SIZE_MAX);
+    if (!index.ok()) return UsageError(index.status());
     const std::vector<size_t> eval_targets =
         zoo.EvaluationTargets(modality.value());
-    const size_t index = static_cast<size_t>(std::stoul(target_name));
-    if (index < eval_targets.size()) {
-      target = eval_targets[index];
+    if (index.value() < eval_targets.size()) {
+      target = eval_targets[index.value()];
       found = true;
     }
   } else {
@@ -367,7 +415,10 @@ int RunRank(const CliArgs& args) {
       ParsePredictor(args.Get("predictor", "xgb"));
   Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
                                                              "all"));
+  Result<size_t> top =
+      ParseNumberFlag("top", args.Get("top", "10"), size_t{1}, SIZE_MAX);
   if (!learner.ok() || !predictor.ok() || !features.ok()) return Usage();
+  if (!top.ok()) return UsageError(top.status());
   config.strategy.learner = learner.value();
   config.strategy.predictor = predictor.value();
   config.strategy.features = features.value();
@@ -380,11 +431,10 @@ int RunRank(const CliArgs& args) {
               zoo.datasets()[target].name.c_str(), evaluation.pearson,
               evaluation.TopKMeanAccuracy(5));
 
-  const int top = std::stoi(args.Get("top", "10"));
   TablePrinter table({"rank", "model", "predicted", "actual"});
   int rank = 1;
   for (const core::Recommendation& rec :
-       core::TopModels(evaluation, zoo, static_cast<size_t>(top))) {
+       core::TopModels(evaluation, zoo, top.value())) {
     table.AddRow({std::to_string(rank++), rec.model_name,
                   FormatDouble(rec.predicted_score, 3),
                   FormatDouble(zoo.FineTuneAccuracy(rec.model_index, target),
@@ -441,14 +491,17 @@ int RunSweepWorkerCli(const CliArgs& args, const core::PipelineConfig& config,
   core::DistributedSweepOptions options;
   options.workdir = args.Get("workdir", "");
   options.worker_id = args.Get("worker-id", "");
-  options.lease_sec = std::stod(args.Get("lease-sec", "30"));
+  Result<double> lease_sec =
+      ParseNumberFlag("lease-sec", args.Get("lease-sec", "30"), 1e-3, 1e9);
+  if (!lease_sec.ok()) return UsageError(lease_sec.status());
+  options.lease_sec = lease_sec.value();
   options.degrade_on_failure = !args.Flag("no-degrade");
   if (options.worker_id.empty() || options.worker_id == "true") {
     std::fprintf(stderr, "sweep --workdir requires --worker-id\n");
     return Usage();
   }
 
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   core::Pipeline pipeline(&zoo, modality);
   Result<core::WorkerReport> ran =
       core::RunSweepWorker(&pipeline, config, options);
@@ -492,7 +545,7 @@ int RunSweepMerge(const CliArgs& args) {
   std::string out = args.Get("out", "");
   if (out.empty() || out == "true") out = workdir + "/merged.json";
 
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   core::Pipeline pipeline(&zoo, modality.value());
   Result<core::MergeReport> merged =
       core::MergeSweepShards(&pipeline, config.value(), workdir, out);
@@ -535,7 +588,7 @@ int RunSweep(const CliArgs& args) {
   if (options.checkpoint_path == "true") options.checkpoint_path.clear();
   options.degrade_on_failure = !args.Flag("no-degrade");
 
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   core::Pipeline pipeline(&zoo, modality.value());
   const core::SweepResult result =
       pipeline.EvaluateAllTargetsResumable(config, options);
@@ -579,7 +632,7 @@ int RunSweep(const CliArgs& args) {
 }
 
 int RunGraphStats(const CliArgs& args) {
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
@@ -592,7 +645,7 @@ int RunGraphStats(const CliArgs& args) {
 int RunExportGraph(const CliArgs& args) {
   const std::string out = args.Get("out", "");
   if (out.empty()) return Usage();
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
@@ -611,7 +664,7 @@ int RunExportGraph(const CliArgs& args) {
 int RunExportHistory(const CliArgs& args) {
   const std::string out = args.Get("out", "");
   if (out.empty()) return Usage();
-  zoo::ModelZoo zoo(ZooConfigFrom(args));
+  zoo::ModelZoo zoo(args.zoo);
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
@@ -631,7 +684,8 @@ int RunExportHistory(const CliArgs& args) {
 // run, one fact per line so shell gates can grep it. Resolution happens on
 // the ActiveBackendName() call, so TG_ISA errors (forcing an unavailable
 // backend) surface here exactly as they would in a real run; likewise the
-// DefaultTreeEngine() call makes a bad TG_TREE fail here, not mid-pipeline.
+// DefaultTreeEngine() and ThreadCount() calls make a bad TG_TREE or
+// TG_THREADS fail here, not mid-pipeline.
 int RunBackend(const CliArgs& args) {
   (void)args;
   std::printf("active: %s\n", kernels::ActiveBackendName());
@@ -643,6 +697,7 @@ int RunBackend(const CliArgs& args) {
   std::printf("available: %s\n", joined.c_str());
   std::printf("tree engine: %s (available: exact hist)\n",
               ml::TreeEngineName(ml::DefaultTreeEngine()));
+  std::printf("threads: %zu\n", ThreadCount());
   return 0;
 }
 
@@ -667,15 +722,33 @@ int Dispatch(const CliArgs& args) {
 
 int Run(int argc, char** argv) {
   Result<CliArgs> parsed = ParseArgs(argc, argv);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-    return Usage();
-  }
+  if (!parsed.ok()) return UsageError(parsed.status());
   const CliArgs& args = parsed.value();
 
   Result<LogLevel> level = ParseLogLevel(args.Get("log-level", "warning"));
   if (!level.ok()) return Usage();
   SetLogLevel(level.value());
+
+  // Numeric observability flags are validated before anything starts, so a
+  // malformed value exits with nothing to tear down.
+  const std::string telemetry_port = args.Get("telemetry-port", "");
+  Result<int> port = 0;  // bare --telemetry-port binds an ephemeral port
+  if (!telemetry_port.empty() && telemetry_port != "true") {
+    port = ParseNumberFlag("telemetry-port", telemetry_port, 0, 65535);
+    if (!port.ok()) return UsageError(port.status());
+  }
+  const std::string profile_arg = args.Get("profile", "");
+  Result<int> hz = 0;  // 0 = TG_PROFILE_HZ or the 97 Hz default
+  if (!profile_arg.empty() && profile_arg != "true") {
+    hz = ParseNumberFlag("profile", profile_arg, 1, 10000);
+    if (!hz.ok()) return UsageError(hz.status());
+  }
+  const std::string rss_interval = args.Get("rss-sample", "");
+  Result<int> rss_interval_ms = 0;  // 0 = no background RSS sampler
+  if (!rss_interval.empty() && rss_interval != "true") {
+    rss_interval_ms = ParseNumberFlag("rss-sample", rss_interval, 1, INT_MAX);
+    if (!rss_interval_ms.ok()) return UsageError(rss_interval_ms.status());
+  }
 
   const std::string trace_path = args.Get("trace", "");
   if (!trace_path.empty()) obs::SetTraceEnabled(true);
@@ -693,12 +766,10 @@ int Run(int argc, char** argv) {
   // warning, never a failed run.
   obs::MaybeStartEventLogFromEnv();
   bool telemetry_started = false;
-  const std::string telemetry_port = args.Get("telemetry-port", "");
   if (!telemetry_port.empty()) {
-    // Bare --telemetry-port means "any port": 0 binds ephemeral and the
-    // announcement below carries the resolved port.
-    const int port = telemetry_port == "true" ? 0 : std::stoi(telemetry_port);
-    Status started = obs::StartTelemetry(port);
+    // Port 0 (also the bare flag) binds ephemeral; the announcement below
+    // carries the resolved port.
+    Status started = obs::StartTelemetry(port.value());
     if (started.ok()) {
       telemetry_started = true;
       std::fprintf(stderr, "telemetry: listening on 127.0.0.1:%d\n",
@@ -712,24 +783,18 @@ int Run(int argc, char** argv) {
   }
 
   // --profile[=HZ], or the `profile` subcommand (which implies it).
-  const std::string profile_arg = args.Get("profile", "");
   const bool profiling = !profile_arg.empty() || args.command == "profile";
   if (profiling) {
-    int hz = 0;  // 0 = TG_PROFILE_HZ or the 97 Hz default
-    if (!profile_arg.empty() && profile_arg != "true") {
-      hz = std::stoi(profile_arg);
-    }
-    Status started = obs::StartProfiler(hz);
+    Status started = obs::StartProfiler(hz.value());
     if (!started.ok()) {
       std::fprintf(stderr, "%s\n", started.ToString().c_str());
       return 1;
     }
   }
 
-  const std::string rss_interval = args.Get("rss-sample", "");
-  if (!rss_interval.empty() && rss_interval != "true") {
+  if (rss_interval_ms.value() > 0) {
     obs::ResourceSamplerOptions sampler_options;
-    sampler_options.interval_ms = std::stoi(rss_interval);
+    sampler_options.interval_ms = rss_interval_ms.value();
     obs::ResourceSampler::Instance().Start(sampler_options);
   }
 
