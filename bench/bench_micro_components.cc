@@ -6,6 +6,7 @@
 // configured TG_THREADS count and writes bench_csv/bench_timings.json.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <string_view>
@@ -45,6 +46,43 @@ Graph MakeBenchmarkGraph(size_t num_nodes, size_t avg_degree) {
                         0.1 + 0.9 * rng.NextDouble());
   }
   return g;
+}
+
+// The column mix of the pipeline's GBDT training table (default zoo, image
+// modality: 2035 rows x 279 features, see perfbench/shapes.json): constant
+// history columns, binary flags, ordinal columns of 6/7/10/11 levels, and
+// continuous embedding/score columns that fill all 64 bins.
+ml::TabularDataset ProductionShapedGbdtTable() {
+  struct Block {
+    size_t columns;
+    uint64_t levels;  // distinct values; 1 = constant, 0 = continuous
+  };
+  const Block blocks[] = {{8, 1},  {8, 2},   {1, 6},  {1, 7},
+                          {1, 10}, {128, 11}, {132, 0}};
+  size_t cols = 0;
+  for (const Block& block : blocks) cols += block.columns;
+  const size_t rows = 2035;
+  Rng rng(15);
+  ml::TabularDataset data;
+  data.x = Matrix(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    size_t c = 0;
+    for (const Block& block : blocks) {
+      for (size_t j = 0; j < block.columns; ++j, ++c) {
+        data.x(r, c) =
+            block.levels == 0
+                ? rng.NextGaussian()
+                : static_cast<double>(rng.NextBelow(block.levels)) /
+                      static_cast<double>(block.levels);
+      }
+    }
+  }
+  data.y.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    data.y[r] = data.x(r, 8) + data.x(r, 40) * data.x(r, 200) +
+                0.5 * std::tanh(data.x(r, 250)) + rng.NextGaussian(0.0, 0.1);
+  }
+  return data;
 }
 
 void BM_AliasTableSample(benchmark::State& state) {
@@ -351,11 +389,13 @@ void ReportParallelSpeedups() {
     benchmark::DoNotOptimize(model.Fit(data));
   });
 
+  // Production-shaped table, a tenth of the pipeline's 500 trees.
+  const ml::TabularDataset gbdt_data = ProductionShapedGbdtTable();
   ml::GbdtConfig gbdt_config;
   gbdt_config.num_trees = 50;
   ReportOneSpeedup("gbdt_fit", "gbdt_fit", [&] {
     ml::Gbdt model(gbdt_config);
-    benchmark::DoNotOptimize(model.Fit(data));
+    benchmark::DoNotOptimize(model.Fit(gbdt_data));
   });
 
   // Exact vs hist at 10x the pipeline's row count: binning's O(bins) split

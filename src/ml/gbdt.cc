@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "ml/binning.h"
-#include "numeric/kernels.h"
 #include "numeric/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,6 +19,20 @@ struct NodeStats {
   double h = 0.0;
 };
 
+// One histogram bin: gradient sum and row count (the squared-loss hessian).
+struct HistBin {
+  double g = 0.0;
+  uint64_t count = 0;
+};
+
+// Best split found in one block of features.
+struct SplitCandidate {
+  double gain = 0.0;
+  size_t feature = 0;  // index into the non-constant features
+  uint8_t bin = 0;
+  uint64_t evals = 0;
+};
+
 // Same flush-once-per-event-batch pattern as the decision tree counters:
 // disabled runs pay one predictable branch.
 void BumpGbdtCounters(uint64_t split_evals, uint64_t hist_builds) {
@@ -33,7 +45,188 @@ void BumpGbdtCounters(uint64_t split_evals, uint64_t hist_builds) {
   if (hist_builds != 0) hist_counter.Increment(hist_builds);
 }
 
+// Comparisons are written so that NaN fails them.
+Status ValidateConfig(const GbdtConfig& c) {
+  const auto reject = [](const char* field, const char* rule,
+                         const std::string& value) {
+    return Status::InvalidArgument(std::string("GbdtConfig.") + field +
+                                   " must be " + rule + ", got " + value);
+  };
+  using std::to_string;
+  if (c.num_trees < 1) {
+    return reject("num_trees", ">= 1", to_string(c.num_trees));
+  }
+  if (c.max_depth < 0) {
+    return reject("max_depth", ">= 0", to_string(c.max_depth));
+  }
+  if (!(std::isfinite(c.learning_rate) && c.learning_rate > 0.0)) {
+    return reject("learning_rate", "finite and > 0",
+                  to_string(c.learning_rate));
+  }
+  if (!(c.lambda >= 0.0)) return reject("lambda", ">= 0", to_string(c.lambda));
+  if (!(c.gamma >= 0.0)) return reject("gamma", ">= 0", to_string(c.gamma));
+  if (!(c.min_child_weight >= 0.0)) {
+    return reject("min_child_weight", ">= 0", to_string(c.min_child_weight));
+  }
+  if (!(c.subsample > 0.0 && c.subsample <= 1.0)) {
+    return reject("subsample", "in (0, 1]", to_string(c.subsample));
+  }
+  if (c.max_bins < 2 || c.max_bins > 256) {
+    return reject("max_bins", "in [2, 256]", to_string(c.max_bins));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+// Depth-first builder for one tree over [begin, end) ranges of `rows`.
+//
+// Codes are row major (n x k, one byte each) over the k non-constant
+// features, so a node's histograms for a block of features come from one
+// pass over its rows. Within each bin the gradients are added in row order,
+// exactly as a per-feature scatter would add them, so every sum -- and every
+// split -- is independent of the blocking.
+struct Gbdt::TreeBuilder {
+  const GbdtConfig& config;
+  const std::vector<uint8_t>& codes;
+  const std::vector<std::vector<double>>& edges;  // per non-constant feature
+  const std::vector<size_t>& features;  // non-constant -> original index
+  const std::vector<double>& grad;
+  size_t threads;                 // one feature block per thread
+  std::vector<HistBin>& hist;     // k x max_bins, reused by every node
+  std::vector<size_t>& rows;
+  std::vector<double>& feature_gains;
+  std::vector<GbdtNode> nodes = {};
+
+  size_t k() const { return features.size(); }
+  size_t stride() const { return static_cast<size_t>(config.max_bins); }
+
+  // Fills features [f_begin, f_end)'s histograms from rows [begin, end) and
+  // returns the block's best split: bins in order, then features in order,
+  // strict `>`, so ties keep the first boundary a sequential scan meets.
+  SplitCandidate ScanBlock(size_t begin, size_t end, size_t f_begin,
+                           size_t f_end, const NodeStats& total) const {
+    const size_t width = f_end - f_begin;
+    const size_t step = stride();
+    HistBin* block = hist.data() + f_begin * step;
+    for (size_t j = 0; j < width; ++j) {
+      std::fill_n(block + j * step, edges[f_begin + j].size() + 1, HistBin{});
+    }
+    const size_t row_width = k();
+    const uint8_t* block_codes = codes.data() + f_begin;
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = rows[i];
+      const double g = grad[r];
+      const uint8_t* row_codes = block_codes + r * row_width;
+      HistBin* bins = block;
+      for (size_t j = 0; j < width; ++j, bins += step) {
+        HistBin& bin = bins[row_codes[j]];
+        bin.g += g;
+        ++bin.count;
+      }
+    }
+
+    // Only non-empty bins are scored. A boundary after an empty bin has the
+    // same (left, right) as the boundary before it, so the same gain, which
+    // the strict `>` never prefers; a leading empty bin leaves left.h = 0,
+    // which fails min_child_weight or scores -gamma <= 0.
+    const double lambda = config.lambda;
+    const double parent_score = total.g * total.g / (total.h + lambda);
+    SplitCandidate best;
+    for (size_t j = 0; j < width; ++j) {
+      const HistBin* bins = block + j * step;
+      const size_t num_bins = edges[f_begin + j].size() + 1;
+      double left_g = 0.0;
+      uint64_t left_count = 0;
+      for (size_t b = 0; b + 1 < num_bins; ++b) {
+        if (bins[b].count == 0) continue;
+        left_g += bins[b].g;
+        left_count += bins[b].count;
+        const NodeStats left{left_g, static_cast<double>(left_count)};
+        const NodeStats right{total.g - left.g, total.h - left.h};
+        if (left.h < config.min_child_weight ||
+            right.h < config.min_child_weight) {
+          continue;
+        }
+        ++best.evals;
+        const double gain = 0.5 * (left.g * left.g / (left.h + lambda) +
+                                   right.g * right.g / (right.h + lambda) -
+                                   parent_score) -
+                            config.gamma;
+        if (gain > best.gain) {
+          best.gain = gain;
+          best.feature = f_begin + j;
+          best.bin = static_cast<uint8_t>(b);
+        }
+      }
+    }
+    return best;
+  }
+
+  int Build(size_t begin, size_t end, int depth) {
+    NodeStats total;
+    for (size_t i = begin; i < end; ++i) total.g += grad[rows[i]];
+    total.h = static_cast<double>(end - begin);
+    const int node_index = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    nodes[node_index].value =
+        -total.g / (total.h + config.lambda) * config.learning_rate;
+
+    if (depth >= config.max_depth ||
+        total.h < 2.0 * config.min_child_weight || k() == 0) {
+      return node_index;
+    }
+
+    // One contiguous feature block per pool thread, each one pass over the
+    // node's rows (small nodes run the blocks inline). The reduction runs
+    // over blocks in feature order with strict `>`, so the chosen split is
+    // bit-identical for any thread count.
+    const size_t block_size = (k() + threads - 1) / threads;
+    std::vector<SplitCandidate> block_best((k() + block_size - 1) /
+                                           block_size);
+    {
+      TG_TRACE_SPAN("split_search");
+      ParallelForIfWorth(0, k(), block_size, (end - begin) * k(),
+                         [&](size_t f_begin, size_t f_end, size_t chunk) {
+                           block_best[chunk] =
+                               ScanBlock(begin, end, f_begin, f_end, total);
+                         });
+    }
+    SplitCandidate best;
+    for (const SplitCandidate& candidate : block_best) {
+      best.evals += candidate.evals;
+      if (candidate.gain > best.gain) {
+        best.gain = candidate.gain;
+        best.feature = candidate.feature;
+        best.bin = candidate.bin;
+      }
+    }
+    // One histogram build per node (covering all features), matching the
+    // decision tree's hist engine so tree.hist_builds has uniform units.
+    BumpGbdtCounters(best.evals, 1);
+    if (best.gain <= 0.0) return node_index;
+
+    const uint8_t* split_codes = codes.data() + best.feature;
+    auto middle = std::partition(
+        rows.begin() + static_cast<long>(begin),
+        rows.begin() + static_cast<long>(end),
+        [&](size_t r) { return split_codes[r * k()] <= best.bin; });
+    const size_t mid = static_cast<size_t>(middle - rows.begin());
+    if (mid == begin || mid == end) return node_index;
+    const size_t feature = features[best.feature];
+    feature_gains[feature] += best.gain;
+
+    const int left_child = Build(begin, mid, depth + 1);
+    const int right_child = Build(mid, end, depth + 1);
+    GbdtNode& node = nodes[node_index];
+    node.is_leaf = false;
+    node.feature = feature;
+    node.threshold = edges[best.feature][best.bin];
+    node.left = left_child;
+    node.right = right_child;
+    return node_index;
+  }
+};
 
 double Gbdt::Tree::PredictRow(const double* row) const {
   int node = 0;
@@ -47,6 +240,7 @@ double Gbdt::Tree::PredictRow(const double* row) const {
 
 Status Gbdt::Fit(const TabularDataset& data) {
   TG_TRACE_SPAN("gbdt_fit");
+  if (Status status = ValidateConfig(config_); !status.ok()) return status;
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("empty training set");
   }
@@ -59,25 +253,40 @@ Status Gbdt::Fit(const TabularDataset& data) {
   trees_.clear();
   rmse_curve_.clear();
   feature_gains_.assign(d, 0.0);
+  num_features_ = d;
   base_score_ = Mean(data.y);
 
-  // Bin the feature matrix once (column major for histogram accumulation).
-  // Features bin independently; parallel over features -- but only when the
-  // n x d binning work can amortize pool dispatch (small feature counts pay
-  // more queue/wakeup overhead than the fan-out saves).
-  std::vector<std::vector<double>> edges(d);
-  std::vector<std::vector<uint16_t>> binned(d);
+  // Bin once: quantile edges per feature (parallel over features, when the
+  // n x d work amortizes dispatch), then one-byte codes, row major, over
+  // only the non-constant features -- a constant column has no boundary.
+  std::vector<std::vector<double>> edges;
+  std::vector<size_t> features;
+  std::vector<uint8_t> codes;
   {
     TG_TRACE_SPAN("bin_build");
+    std::vector<std::vector<double>> all_edges(d);
     ParallelForIfWorth(
         0, d, 1, n * d, [&](size_t begin, size_t end, size_t /*chunk*/) {
           std::vector<double> column(n);
           for (size_t f = begin; f < end; ++f) {
             for (size_t r = 0; r < n; ++r) column[r] = data.x(r, f);
-            edges[f] = ComputeBinEdges(column.data(), n, config_.max_bins);
-            binned[f].resize(n);
-            for (size_t r = 0; r < n; ++r) {
-              binned[f][r] = BinOf(column[r], edges[f]);
+            all_edges[f] = ComputeBinEdges(column.data(), n, config_.max_bins);
+          }
+        });
+    for (size_t f = 0; f < d; ++f) {
+      if (all_edges[f].empty()) continue;
+      features.push_back(f);
+      edges.push_back(std::move(all_edges[f]));
+    }
+    const size_t k = features.size();
+    codes.resize(n * k);
+    ParallelForIfWorth(
+        0, n, 256, n * k, [&](size_t begin, size_t end, size_t /*chunk*/) {
+          for (size_t r = begin; r < end; ++r) {
+            const double* x = data.x.RowPtr(r);
+            for (size_t j = 0; j < k; ++j) {
+              codes[r * k + j] =
+                  static_cast<uint8_t>(BinOf(x[features[j]], edges[j]));
             }
           }
         });
@@ -85,9 +294,10 @@ Status Gbdt::Fit(const TabularDataset& data) {
 
   std::vector<double> predictions(n, base_score_);
   std::vector<double> grad(n);
+  std::vector<HistBin> hist(features.size() *
+                            static_cast<size_t>(config_.max_bins));
+  const size_t threads = ThreadCount();
   Rng rng(config_.seed);
-
-  const double lambda = config_.lambda;
 
   for (int round = 0; round < config_.num_trees; ++round) {
     // Squared-error objective: g_i = pred - y, h_i = 1.
@@ -105,133 +315,13 @@ Status Gbdt::Fit(const TabularDataset& data) {
       if (rows.empty()) rows.push_back(static_cast<size_t>(rng.NextBelow(n)));
     }
 
-    Tree tree;
-    // Recursive depth-wise build over [begin, end) index ranges.
-    struct Builder {
-      const GbdtConfig& config;
-      const std::vector<std::vector<double>>& edges;
-      const std::vector<std::vector<uint16_t>>& binned;
-      const std::vector<double>& grad;
-      Tree& tree;
-      std::vector<size_t>& rows;
-      double lambda;
-      std::vector<double>& feature_gains;
-
-      int Build(size_t begin, size_t end, int depth) {
-        NodeStats total;
-        for (size_t i = begin; i < end; ++i) {
-          total.g += grad[rows[i]];
-          total.h += 1.0;
-        }
-        const int node_index = static_cast<int>(tree.nodes.size());
-        tree.nodes.emplace_back();
-        tree.nodes[node_index].value =
-            -total.g / (total.h + lambda) * config.learning_rate;
-
-        if (depth >= config.max_depth ||
-            total.h < 2.0 * config.min_child_weight) {
-          return node_index;
-        }
-
-        // Best histogram split across all features. Each feature's scan is
-        // independent, so the search fans out over the pool; the arg-best
-        // reduction below runs in feature order with the same strict `>` as
-        // a sequential scan, keeping the chosen split bit-identical for any
-        // thread count.
-        const double parent_score = total.g * total.g / (total.h + lambda);
-        const size_t num_features = binned.size();
-        std::vector<double> feature_best_gain(num_features, 0.0);
-        std::vector<uint16_t> feature_best_bin(num_features, 0);
-        // SoA histogram halves (gradient sums, then hessian counts) feed
-        // the backend hist_accumulate kernel; the scatter adds run in the
-        // same index order the old AoS loop used, so accumulated g/h -- and
-        // therefore every split -- are bit-identical to it.
-        const auto scan_feature = [&](size_t f, std::vector<double>* hist) {
-          if (edges[f].empty()) return;
-          const size_t nb = edges[f].size() + 1;
-          hist->assign(2 * nb, 0.0);
-          double* gsum = hist->data();
-          double* hcount = hist->data() + nb;
-          kernels::HistAccumulate(binned[f].data(), rows.data() + begin,
-                                  end - begin, grad.data(), gsum, hcount);
-          uint64_t evals = 0;
-          NodeStats left;
-          for (size_t b = 0; b + 1 < nb; ++b) {
-            left.g += gsum[b];
-            left.h += hcount[b];
-            const NodeStats right{total.g - left.g, total.h - left.h};
-            if (left.h < config.min_child_weight ||
-                right.h < config.min_child_weight) {
-              continue;
-            }
-            ++evals;
-            const double gain =
-                0.5 * (left.g * left.g / (left.h + lambda) +
-                       right.g * right.g / (right.h + lambda) -
-                       parent_score) -
-                config.gamma;
-            if (gain > feature_best_gain[f]) {
-              feature_best_gain[f] = gain;
-              feature_best_bin[f] = static_cast<uint16_t>(b);
-            }
-          }
-          BumpGbdtCounters(evals, 0);
-        };
-        // Histogram work is (rows x features); ParallelForIfWorth fans out
-        // only when the node is large enough for the dispatch to pay for
-        // itself and runs inline (same chunking) otherwise.
-        {
-          TG_TRACE_SPAN("split_search");
-          ParallelForIfWorth(
-              0, num_features, 1, (end - begin) * num_features,
-              [&](size_t f_begin, size_t f_end, size_t /*chunk*/) {
-                std::vector<double> hist;
-                for (size_t f = f_begin; f < f_end; ++f) {
-                  scan_feature(f, &hist);
-                }
-              });
-        }
-        // One histogram build per node (covering all features), matching the
-        // decision tree's hist engine so tree.hist_builds has uniform units.
-        BumpGbdtCounters(0, 1);
-        double best_gain = 0.0;
-        size_t best_feature = 0;
-        uint16_t best_bin = 0;
-        for (size_t f = 0; f < num_features; ++f) {
-          if (feature_best_gain[f] > best_gain) {
-            best_gain = feature_best_gain[f];
-            best_feature = f;
-            best_bin = feature_best_bin[f];
-          }
-        }
-        if (best_gain <= 0.0) return node_index;
-
-        const auto& fbins = binned[best_feature];
-        auto middle = std::partition(
-            rows.begin() + static_cast<long>(begin),
-            rows.begin() + static_cast<long>(end),
-            [&](size_t r) { return fbins[r] <= best_bin; });
-        const size_t mid = static_cast<size_t>(middle - rows.begin());
-        if (mid == begin || mid == end) return node_index;
-        feature_gains[best_feature] += best_gain;
-
-        const int left_child = Build(begin, mid, depth + 1);
-        const int right_child = Build(mid, end, depth + 1);
-        tree.nodes[node_index].is_leaf = false;
-        tree.nodes[node_index].feature = best_feature;
-        tree.nodes[node_index].threshold = edges[best_feature][best_bin];
-        tree.nodes[node_index].left = left_child;
-        tree.nodes[node_index].right = right_child;
-        return node_index;
-      }
-    };
-
-    Builder builder{config_, edges,  binned,        grad,
-                    tree,    rows,   lambda,        feature_gains_};
+    TreeBuilder builder{config_, codes, edges, features,     grad,
+                        threads, hist,  rows,  feature_gains_};
     {
       TG_TRACE_SPAN("tree_fit");
       builder.Build(0, rows.size(), 0);
     }
+    Tree tree{std::move(builder.nodes)};
 
     // Update predictions on all rows with the new tree (disjoint writes).
     // Per-row work is one root-to-leaf descent, so the work estimate scales
@@ -262,6 +352,8 @@ std::vector<double> Gbdt::FeatureImportances() const {
 
 double Gbdt::Predict(const std::vector<double>& row) const {
   TG_CHECK_MSG(!trees_.empty(), "Predict before Fit");
+  TG_CHECK_MSG(row.size() == num_features_,
+               "Predict row width differs from the training table");
   double acc = base_score_;
   for (const Tree& tree : trees_) acc += tree.PredictRow(row.data());
   return acc;

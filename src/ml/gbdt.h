@@ -1,8 +1,8 @@
 // XGBoost-style gradient-boosted regression trees (Chen & Guestrin 2016):
 // second-order Taylor objective, leaf weight -G/(H+lambda), split gain
 //   1/2 [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda) ] - gamma,
-// histogram-binned features (quantile bin edges) for fast exact-enough
-// splits, shrinkage, and optional row subsampling.
+// histogram-binned features (quantile bin edges, one-byte codes) for fast
+// exact-enough splits, shrinkage, and optional row subsampling.
 // Paper §VI-C settings: 500 trees, max depth 5.
 #ifndef TG_ML_GBDT_H_
 #define TG_ML_GBDT_H_
@@ -15,15 +15,16 @@
 
 namespace tg::ml {
 
+// Fit() rejects out-of-range fields with InvalidArgument naming the field.
 struct GbdtConfig {
-  int num_trees = 500;
-  int max_depth = 5;
-  double learning_rate = 0.1;  // shrinkage eta
-  double lambda = 1.0;         // L2 on leaf weights
-  double gamma = 0.0;          // complexity penalty per split
-  double min_child_weight = 1.0;
-  double subsample = 1.0;      // row subsample fraction per tree
-  int max_bins = 64;
+  int num_trees = 500;         // >= 1
+  int max_depth = 5;           // >= 0
+  double learning_rate = 0.1;  // shrinkage eta, finite and > 0
+  double lambda = 1.0;         // L2 on leaf weights, >= 0
+  double gamma = 0.0;          // complexity penalty per split, >= 0
+  double min_child_weight = 1.0;  // >= 0
+  double subsample = 1.0;      // row subsample fraction per tree, in (0, 1]
+  int max_bins = 64;           // in [2, 256]: bin codes are one byte
   uint64_t seed = 23;
 };
 
@@ -32,6 +33,7 @@ class Gbdt : public Regressor {
   explicit Gbdt(const GbdtConfig& config = {}) : config_(config) {}
 
   Status Fit(const TabularDataset& data) override;
+  // `row` must have the training table's width (checked).
   double Predict(const std::vector<double>& row) const override;
   std::string name() const override { return "XGB"; }
   // Total split gain per feature over all boosting rounds, sum-normalized.
@@ -54,8 +56,10 @@ class Gbdt : public Regressor {
     std::vector<GbdtNode> nodes;
     double PredictRow(const double* row) const;
   };
+  struct TreeBuilder;
 
   GbdtConfig config_;
+  size_t num_features_ = 0;
   double base_score_ = 0.0;
   std::vector<Tree> trees_;
   std::vector<double> rmse_curve_;

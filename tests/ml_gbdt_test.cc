@@ -1,10 +1,17 @@
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "ml/gbdt.h"
 #include "numeric/stats.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace tg::ml {
 namespace {
@@ -19,6 +26,91 @@ TabularDataset NonlinearData(size_t n, uint64_t seed, double noise = 0.05) {
                 0.3 * data.x(i, 3) + noise * rng.NextGaussian();
   }
   return data;
+}
+
+// The feature-table column mix the pipeline feeds the GBDT: constant
+// columns, binary flags, ~11-level ordinal columns and continuous
+// embeddings, so binning sees every bin-count regime it meets in production.
+TabularDataset ProductionMixData(size_t n, uint64_t seed) {
+  constexpr size_t kConstant = 3, kBinary = 4, kOrdinal = 15, kContinuous = 18;
+  Rng rng(seed);
+  TabularDataset data;
+  data.x = Matrix(n, kConstant + kBinary + kOrdinal + kContinuous);
+  for (size_t i = 0; i < n; ++i) {
+    size_t f = 0;
+    for (size_t j = 0; j < kConstant; ++j) data.x(i, f++) = 0.25 * j;
+    for (size_t j = 0; j < kBinary; ++j) {
+      data.x(i, f++) = rng.NextBernoulli(0.3) ? 1.0 : 0.0;
+    }
+    for (size_t j = 0; j < kOrdinal; ++j) {
+      data.x(i, f++) = 0.1 * static_cast<double>(rng.NextBelow(11));
+    }
+    for (size_t j = 0; j < kContinuous; ++j) {
+      data.x(i, f++) = rng.NextGaussian();
+    }
+  }
+  data.y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    data.y[i] = data.x(i, 3) + 2.0 * data.x(i, 8) * data.x(i, 25) +
+                std::sin(data.x(i, 30)) + 0.1 * rng.NextGaussian();
+  }
+  return data;
+}
+
+uint64_t BitsOf(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// FNV-1a over the bit patterns, so one constant pins a whole vector.
+uint64_t DigestOf(const std::vector<double>& values) {
+  uint64_t h = 1469598103934665603ULL;
+  for (double v : values) {
+    h ^= BitsOf(v);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Bits of predictions on rows 0, 123 and 599, of the importance digest and
+// of the final training RMSE.
+using FitBits = std::array<uint64_t, 5>;
+
+FitBits FitAtThreads(const TabularDataset& data, double subsample,
+                     size_t threads) {
+  GbdtConfig config;
+  config.num_trees = 60;
+  config.max_depth = 5;
+  config.subsample = subsample;
+  SetThreadCount(threads);
+  Gbdt model(config);
+  const bool ok = model.Fit(data).ok();
+  SetThreadCount(0);
+  EXPECT_TRUE(ok);
+  return {BitsOf(model.Predict(data.x.Row(0))),
+          BitsOf(model.Predict(data.x.Row(123))),
+          BitsOf(model.Predict(data.x.Row(599))),
+          DigestOf(model.FeatureImportances()),
+          BitsOf(model.train_rmse_curve().back())};
+}
+
+// Pins the fitted model bit for bit, at 1 and 4 threads, with and without
+// row subsampling. Any change to binning, histogram accumulation order, the
+// split scan or the partition shows here as a changed constant.
+TEST(GbdtTest, MatchesGoldenBits) {
+  const TabularDataset data = ProductionMixData(600, 31);
+  const FitBits full{0x3fe0fab8cc8c876cULL, 0x3fe03b4ca0764f27ULL,
+                     0x40088d622c2f92fbULL, 0xd67c630d9f59e6c3ULL,
+                     0x3fb314b9418ac584ULL};
+  const FitBits sampled{0x3fe035791ff30135ULL, 0x3fe1d713d919eba6ULL,
+                        0x40089780c87422a0ULL, 0x769eda7397b794dcULL,
+                        0x3fb5b1b40080fcd3ULL};
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(FitAtThreads(data, 1.0, threads), full);
+    EXPECT_EQ(FitAtThreads(data, 0.7, threads), sampled);
+  }
 }
 
 TEST(GbdtTest, TrainRmseDecreasesMonotonically) {
@@ -140,6 +232,126 @@ TEST(GbdtTest, RejectsInvalidInput) {
   Gbdt model;
   TabularDataset empty;
   EXPECT_FALSE(model.Fit(empty).ok());
+}
+
+// Fits a small valid table under `config` and expects InvalidArgument whose
+// message names `field`.
+void ExpectRejectsField(const GbdtConfig& config, const std::string& field) {
+  SCOPED_TRACE(field);
+  Gbdt model(config);
+  const Status status = model.Fit(NonlinearData(50, 10));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("GbdtConfig." + field), std::string::npos)
+      << status.message();
+}
+
+TEST(GbdtTest, RejectsZeroTrees) {
+  GbdtConfig config;
+  config.num_trees = 0;
+  ExpectRejectsField(config, "num_trees");
+}
+
+TEST(GbdtTest, RejectsNegativeMaxDepth) {
+  GbdtConfig config;
+  config.max_depth = -1;
+  ExpectRejectsField(config, "max_depth");
+}
+
+TEST(GbdtTest, RejectsNonPositiveOrNonFiniteLearningRate) {
+  for (double rate : {0.0, -0.1, std::nan(""), HUGE_VAL}) {
+    GbdtConfig config;
+    config.learning_rate = rate;
+    ExpectRejectsField(config, "learning_rate");
+  }
+}
+
+TEST(GbdtTest, RejectsNegativeLambda) {
+  GbdtConfig config;
+  config.lambda = -1.0;
+  ExpectRejectsField(config, "lambda");
+}
+
+TEST(GbdtTest, RejectsNegativeGamma) {
+  GbdtConfig config;
+  config.gamma = -0.5;
+  ExpectRejectsField(config, "gamma");
+}
+
+TEST(GbdtTest, RejectsNegativeMinChildWeight) {
+  GbdtConfig config;
+  config.min_child_weight = -1.0;
+  ExpectRejectsField(config, "min_child_weight");
+}
+
+TEST(GbdtTest, RejectsSubsampleOutsideUnitInterval) {
+  for (double fraction : {0.0, -0.5, 1.5, std::nan("")}) {
+    GbdtConfig config;
+    config.subsample = fraction;
+    ExpectRejectsField(config, "subsample");
+  }
+}
+
+TEST(GbdtTest, RejectsMaxBinsOutsideOneByteCodes) {
+  for (int bins : {-1, 0, 1, 257, 65537}) {
+    GbdtConfig config;
+    config.max_bins = bins;
+    ExpectRejectsField(config, "max_bins");
+  }
+}
+
+TEST(GbdtTest, AcceptsBoundaryConfig) {
+  GbdtConfig config;
+  config.num_trees = 1;
+  config.max_depth = 0;
+  config.lambda = 0.0;
+  config.min_child_weight = 0.0;
+  config.subsample = 1.0;
+  for (int bins : {2, 256}) {
+    config.max_bins = bins;
+    Gbdt model(config);
+    EXPECT_TRUE(model.Fit(NonlinearData(50, 10)).ok());
+  }
+}
+
+TEST(GbdtTest, FlushesTreeCountersOncePerSearchedNode) {
+  // One depth-1 tree: only the root searches. Its boundaries: three on the
+  // 4-level column, one on the binary column, none on the constant one.
+  TabularDataset data;
+  data.x = Matrix(8, 3);
+  data.y.resize(8);
+  for (size_t i = 0; i < 8; ++i) {
+    data.x(i, 0) = static_cast<double>(i % 4);
+    data.x(i, 1) = 7.0;
+    data.x(i, 2) = static_cast<double>(i / 4);
+    data.y[i] = static_cast<double>(i);
+  }
+  GbdtConfig config;
+  config.num_trees = 1;
+  config.max_depth = 1;
+  obs::Counter& evals =
+      obs::MetricsRegistry::Instance().GetCounter("tree.split_evaluations");
+  obs::Counter& builds =
+      obs::MetricsRegistry::Instance().GetCounter("tree.hist_builds");
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const uint64_t evals_before = evals.value();
+  const uint64_t builds_before = builds.value();
+  Gbdt model(config);
+  ASSERT_TRUE(model.Fit(data).ok());
+  obs::SetMetricsEnabled(was_enabled);
+  EXPECT_EQ(evals.value() - evals_before, 4u);
+  EXPECT_EQ(builds.value() - builds_before, 1u);
+}
+
+TEST(GbdtDeathTest, PredictRejectsRowOfWrongWidth) {
+  GbdtConfig config;
+  config.num_trees = 5;
+  Gbdt model(config);
+  const TabularDataset data = NonlinearData(100, 11);
+  ASSERT_TRUE(model.Fit(data).ok());
+  std::vector<double> narrow = data.x.Row(0);
+  narrow.pop_back();
+  EXPECT_DEATH(model.Predict(narrow), "row width");
 }
 
 }  // namespace
