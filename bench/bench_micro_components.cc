@@ -380,15 +380,6 @@ void ReportParallelSpeedups() {
     benchmark::DoNotOptimize(model.Fit(data));
   });
 
-  // Same forest workload under the histogram engine. Recorded as its own
-  // stage so exact and hist trend independently in BENCH_history.json.
-  ml::RandomForestConfig rf_hist_config = rf_config;
-  rf_hist_config.tree.engine = ml::TreeEngineChoice::kHist;
-  ReportOneSpeedup("random_forest_fit_hist", "forest_fit", [&] {
-    ml::RandomForest model(rf_hist_config);
-    benchmark::DoNotOptimize(model.Fit(data));
-  });
-
   // Production-shaped table, a tenth of the pipeline's 500 trees.
   const ml::TabularDataset gbdt_data = ProductionShapedGbdtTable();
   ml::GbdtConfig gbdt_config;
@@ -398,9 +389,9 @@ void ReportParallelSpeedups() {
     benchmark::DoNotOptimize(model.Fit(gbdt_data));
   });
 
-  // Exact vs hist at 10x the pipeline's row count: binning's O(bins) split
-  // scan only pulls ahead of the pre-sorted exact walk once rows dominate,
-  // which is exactly the regime the pipeline grows into.
+  // The forest at 10x the pipeline's row count: the pre-sorted walk's split
+  // scan is O(rows) per node, so this stage shows how forest fits scale as
+  // the tables grow.
   Rng big_rng(14);
   ml::TabularDataset big;
   big.x = Matrix::Gaussian(20000, 64, &big_rng);
@@ -412,12 +403,6 @@ void ReportParallelSpeedups() {
   big_config.num_trees = 20;
   ReportOneSpeedup("forest_fit_10x_exact", "forest_fit", [&] {
     ml::RandomForest model(big_config);
-    benchmark::DoNotOptimize(model.Fit(big));
-  });
-  ml::RandomForestConfig big_hist = big_config;
-  big_hist.tree.engine = ml::TreeEngineChoice::kHist;
-  ReportOneSpeedup("forest_fit_10x_hist", "forest_fit", [&] {
-    ml::RandomForest model(big_hist);
     benchmark::DoNotOptimize(model.Fit(big));
   });
 }

@@ -1,6 +1,5 @@
-// Quantile feature binning shared by the histogram GBDT (gbdt.cc) and the
-// decision tree's histogram split engine (decision_tree.cc, TG_TREE=hist).
-// Extracted verbatim from the GBDT so both produce identical bin boundaries.
+// Quantile feature binning for the histogram GBDT (gbdt.cc): bin edges are
+// computed once per fit and every row is coded by BinOf.
 #ifndef TG_ML_BINNING_H_
 #define TG_ML_BINNING_H_
 

@@ -6,8 +6,6 @@
 #include <limits>
 #include <numeric>
 
-#include "ml/binning.h"
-#include "numeric/kernels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -24,14 +22,11 @@ struct SplitCandidate {
 
 // Per-fit instrumentation, flushed once per tree (not per node) so the hot
 // recursion pays one local increment per event.
-void BumpTreeCounters(uint64_t split_evals, uint64_t hist_builds) {
-  if (!obs::MetricsEnabled()) return;
+void BumpSplitEvaluations(uint64_t split_evals) {
+  if (!obs::MetricsEnabled() || split_evals == 0) return;
   static obs::Counter& eval_counter =
       obs::MetricsRegistry::Instance().GetCounter("tree.split_evaluations");
-  static obs::Counter& hist_counter =
-      obs::MetricsRegistry::Instance().GetCounter("tree.hist_builds");
-  if (split_evals != 0) eval_counter.Increment(split_evals);
-  if (hist_builds != 0) hist_counter.Increment(hist_builds);
+  eval_counter.Increment(split_evals);
 }
 
 }  // namespace
@@ -42,10 +37,6 @@ FeatureColumns::FeatureColumns(const Matrix& x)
     const double* row = x.RowPtr(r);
     for (size_t c = 0; c < cols_; ++c) data_[c * rows_ + r] = row[c];
   }
-}
-
-void FeatureColumns::EnsureSortedOrders() {
-  if (orders_built_) return;
   TG_TRACE_SPAN("order_build");
   TG_CHECK_LE(rows_, static_cast<size_t>(UINT32_MAX));
   sorted_.resize(cols_ * rows_);
@@ -61,47 +52,14 @@ void FeatureColumns::EnsureSortedOrders() {
       return a < b;
     });
   }
-  orders_built_ = true;
 }
 
-void FeatureColumns::EnsureHistBins(int max_bins) {
-  TG_CHECK_GT(max_bins, 1);
-  TG_CHECK_LE(max_bins, 65536);
-  if (hist_max_bins_ != 0) {
-    TG_CHECK_EQ(hist_max_bins_, max_bins);
-    return;
-  }
-  TG_TRACE_SPAN("bin_build");
-  edges_.resize(cols_);
-  const bool u8 = max_bins <= 256;
-  if (u8) {
-    codes8_.resize(cols_ * rows_);
-  } else {
-    codes16_.resize(cols_ * rows_);
-  }
-  for (size_t f = 0; f < cols_; ++f) {
-    const double* col = Column(f);
-    edges_[f] = ComputeBinEdges(col, rows_, max_bins);
-    if (u8) {
-      uint8_t* codes = codes8_.data() + f * rows_;
-      for (size_t r = 0; r < rows_; ++r) {
-        codes[r] = static_cast<uint8_t>(BinOf(col[r], edges_[f]));
-      }
-    } else {
-      uint16_t* codes = codes16_.data() + f * rows_;
-      for (size_t r = 0; r < rows_; ++r) codes[r] = BinOf(col[r], edges_[f]);
-    }
-  }
-  hist_max_bins_ = max_bins;
-}
+// --- Pre-sorted split search -------------------------------------------------
 
-// --- Exact pre-sorted engine -------------------------------------------------
-
-// Per-fit state for the exact engine. `order` holds, for every feature, this
-// fit's row multiset sorted by (value, row index) -- expanded once from the
+// Per-fit state. `order` holds, for every feature, this fit's row multiset sorted by (value, row index) -- expanded once from the
 // FeatureColumns global orders, then stably partitioned into the children at
 // each split, so no node ever sorts anything.
-struct DecisionTree::ExactContext {
+struct DecisionTree::FitContext {
   const FeatureColumns& columns;
   const std::vector<double>& y;
   std::vector<size_t>* rows;  // node-major working segments (seed layout)
@@ -114,7 +72,7 @@ struct DecisionTree::ExactContext {
   uint64_t split_evals = 0;
 };
 
-int DecisionTree::BuildExactNode(ExactContext* ctx, size_t begin, size_t end,
+int DecisionTree::BuildNode(FitContext* ctx, size_t begin, size_t end,
                                  int depth) {
   const FeatureColumns& columns = ctx->columns;
   const std::vector<double>& y = ctx->y;
@@ -251,191 +209,8 @@ int DecisionTree::BuildExactNode(ExactContext* ctx, size_t begin, size_t end,
     std::copy(scratch, scratch + sc, seg + out);
   }
 
-  const int left = BuildExactNode(ctx, begin, mid, depth + 1);
-  const int right = BuildExactNode(ctx, mid, end, depth + 1);
-  nodes_[node_index].is_leaf = false;
-  nodes_[node_index].feature = best.feature;
-  nodes_[node_index].threshold = best.threshold;
-  nodes_[node_index].left = left;
-  nodes_[node_index].right = right;
-  return node_index;
-}
-
-// --- Histogram engine --------------------------------------------------------
-
-// Per-fit state for the hist engine. A node's histogram is one buffer of
-// 2 * total_bins doubles: per-feature bin ranges (offsets) of y-sums first,
-// then the matching counts. Buffers are recycled through a free list, so at
-// most O(max_depth) of them are ever live.
-struct DecisionTree::HistContext {
-  const FeatureColumns& columns;
-  const std::vector<double>& y;
-  std::vector<size_t>* rows;
-  Rng* rng;
-  std::vector<size_t> offsets;  // per-feature bin offset; size cols() + 1
-  size_t total_bins = 0;
-  std::vector<std::vector<double>> pool;
-  std::vector<double*> free_list;
-  std::vector<uint8_t> side;  // columns.rows(), split side per row id
-  uint64_t split_evals = 0;
-  uint64_t hist_builds = 0;
-
-  double* Acquire() {
-    if (!free_list.empty()) {
-      double* b = free_list.back();
-      free_list.pop_back();
-      return b;
-    }
-    pool.emplace_back(2 * total_bins);
-    return pool.back().data();
-  }
-  void Release(double* b) { free_list.push_back(b); }
-
-  // Accumulates this node's per-feature (sum_y, count) histograms over the
-  // row segment via the backend hist_accumulate kernel (bit-identical across
-  // backends -- the scatter adds stay in index order everywhere).
-  void BuildHistogram(size_t begin, size_t end, double* hist) {
-    std::fill(hist, hist + 2 * total_bins, 0.0);
-    const size_t* seg = rows->data() + begin;
-    const size_t n = end - begin;
-    const bool u8 = columns.codes_are_u8();
-    for (size_t f = 0; f < columns.cols(); ++f) {
-      double* sums = hist + offsets[f];
-      double* counts = hist + total_bins + offsets[f];
-      if (u8) {
-        kernels::HistAccumulate(columns.BinCodes8(f), seg, n, y.data(), sums,
-                                counts);
-      } else {
-        kernels::HistAccumulate(columns.BinCodes16(f), seg, n, y.data(), sums,
-                                counts);
-      }
-    }
-    ++hist_builds;
-  }
-};
-
-int DecisionTree::BuildHistNode(HistContext* ctx, size_t begin, size_t end,
-                                int depth, double* hist) {
-  const FeatureColumns& columns = ctx->columns;
-  const std::vector<double>& y = ctx->y;
-  std::vector<size_t>& rows = *ctx->rows;
-  const size_t n = end - begin;
-  TG_CHECK_GT(n, 0u);
-
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    sum += y[rows[i]];
-    sum_sq += y[rows[i]] * y[rows[i]];
-  }
-  const double mean = sum / static_cast<double>(n);
-
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_index].value = mean;
-  nodes_[node_index].depth = depth;
-
-  const double node_impurity = sum_sq - sum * sum / static_cast<double>(n);
-  if (depth >= config_.max_depth || n < config_.min_samples_split ||
-      node_impurity <= 1e-12) {
-    ctx->Release(hist);
-    return node_index;
-  }
-
-  std::vector<size_t> features;
-  if (config_.max_features == 0 || config_.max_features >= columns.cols()) {
-    features.resize(columns.cols());
-    std::iota(features.begin(), features.end(), 0);
-  } else {
-    TG_CHECK(ctx->rng != nullptr);
-    features = ctx->rng->SampleWithoutReplacement(columns.cols(),
-                                                  config_.max_features);
-  }
-
-  // O(bins) boundary scan per sampled feature. Histograms exist for every
-  // feature (the sibling subtraction needs them), but only the sampled
-  // subset is scanned, so the feature-sampling RNG stream matches the exact
-  // engine call for call.
-  SplitCandidate best;
-  {
-    TG_TRACE_SPAN("split_search");
-    for (size_t f : features) {
-      const std::vector<double>& edges = columns.BinEdges(f);
-      if (edges.empty()) continue;  // constant feature
-      const size_t nb = edges.size() + 1;
-      const double* sums = hist + ctx->offsets[f];
-      const double* counts = hist + ctx->total_bins + ctx->offsets[f];
-      double left_sum = 0.0;
-      double left_cnt = 0.0;
-      for (size_t b = 0; b + 1 < nb; ++b) {
-        left_sum += sums[b];
-        left_cnt += counts[b];
-        // Counts are exact small integers (each row contributes 1.0 once).
-        const size_t n_left = static_cast<size_t>(left_cnt);
-        const size_t n_right = n - n_left;
-        if (n_left == 0 || n_right == 0) continue;
-        if (n_left < config_.min_samples_leaf ||
-            n_right < config_.min_samples_leaf) {
-          continue;
-        }
-        ++ctx->split_evals;
-        const double right_sum = sum - left_sum;
-        const double score =
-            left_sum * left_sum / static_cast<double>(n_left) +
-            right_sum * right_sum / static_cast<double>(n_right);
-        if (score > best.score) {
-          best.found = true;
-          best.score = score;
-          best.feature = f;
-          // Raw-value threshold (the bin's upper edge): v <= edges[b] holds
-          // exactly when BinOf(v) <= b, so Predict needs no binning.
-          best.threshold = edges[b];
-        }
-      }
-    }
-  }
-  if (!best.found) {
-    ctx->Release(hist);
-    return node_index;
-  }
-  feature_gains_[best.feature] +=
-      std::max(best.score - sum * sum / static_cast<double>(n), 0.0);
-
-  const double* best_col = columns.Column(best.feature);
-  for (size_t i = begin; i < end; ++i) {
-    const size_t r = rows[i];
-    ctx->side[r] = best_col[r] <= best.threshold ? 1 : 0;
-  }
-  auto middle = std::partition(rows.begin() + static_cast<long>(begin),
-                               rows.begin() + static_cast<long>(end),
-                               [&](size_t r) { return ctx->side[r] != 0; });
-  const size_t mid = static_cast<size_t>(middle - rows.begin());
-  TG_CHECK_GT(mid, begin);
-  TG_CHECK_LT(mid, end);
-
-  // Sibling subtraction: accumulate only the smaller child's histogram and
-  // derive the larger one by subtracting it from the parent's, in place --
-  // the parent's buffer becomes the larger child's.
-  const size_t n_left_rows = mid - begin;
-  const size_t n_right_rows = end - mid;
-  const bool left_is_small = n_left_rows <= n_right_rows;
-  double* small_hist = ctx->Acquire();
-  if (left_is_small) {
-    ctx->BuildHistogram(begin, mid, small_hist);
-  } else {
-    ctx->BuildHistogram(mid, end, small_hist);
-  }
-  kernels::Sub(hist, small_hist, 2 * ctx->total_bins);
-
-  int left;
-  int right;
-  if (left_is_small) {
-    left = BuildHistNode(ctx, begin, mid, depth + 1, small_hist);
-    right = BuildHistNode(ctx, mid, end, depth + 1, hist);
-  } else {
-    left = BuildHistNode(ctx, begin, mid, depth + 1, hist);
-    right = BuildHistNode(ctx, mid, end, depth + 1, small_hist);
-  }
+  const int left = BuildNode(ctx, begin, mid, depth + 1);
+  const int right = BuildNode(ctx, mid, end, depth + 1);
   nodes_[node_index].is_leaf = false;
   nodes_[node_index].feature = best.feature;
   nodes_[node_index].threshold = best.threshold;
@@ -448,13 +223,7 @@ int DecisionTree::BuildHistNode(HistContext* ctx, size_t begin, size_t end,
 
 void DecisionTree::Fit(const Matrix& x, const std::vector<double>& y,
                        const std::vector<size_t>& rows, Rng* rng) {
-  FeatureColumns columns(x);
-  if (ResolveTreeEngine(config_.engine) == TreeEngine::kExact) {
-    columns.EnsureSortedOrders();
-  } else {
-    columns.EnsureHistBins(config_.max_bins);
-  }
-  Fit(columns, y, rows, rng);
+  Fit(FeatureColumns(x), y, rows, rng);
 }
 
 void DecisionTree::Fit(const FeatureColumns& columns,
@@ -468,72 +237,49 @@ void DecisionTree::Fit(const FeatureColumns& columns,
   std::vector<size_t> working = rows;
   const size_t n = working.size();
   const size_t total_rows = columns.rows();
-  const TreeEngine engine = ResolveTreeEngine(config_.engine);
 
-  if (engine == TreeEngine::kExact) {
-    TG_CHECK_MSG(columns.has_sorted_orders(),
-                 "exact engine requires FeatureColumns::EnsureSortedOrders() "
-                 "before Fit");
-    ExactContext ctx{columns, y, &working, rng};
-    ctx.n = n;
-    // Expand the global per-feature orders into this fit's row multiset:
-    // count each row's multiplicity, then emit rows in global sorted order,
-    // each repeated multiplicity times. Duplicates land adjacent, which is
-    // exactly where a (value, row index) sort would place them.
-    std::vector<uint32_t> mult(total_rows, 0);
-    for (size_t r : working) {
-      TG_CHECK_LT(r, total_rows);
-      ++mult[static_cast<uint32_t>(r)];
-    }
-    const size_t d = columns.cols();
-    // +4 slack: the expansion below stores four copies unconditionally and
-    // advances by the actual multiplicity, so trailing rows of a block may
-    // write up to four entries past its logical end (multiplicity 0 leaves k
-    // at n while out[k..k+3] are still stored; overwritten by the next block,
-    // absorbed by the slack on the last one). Bootstrap multiplicities are
-    // ~Poisson(1), which makes a per-row copy loop mispredict constantly;
-    // the unconditional stores cost nothing extra.
-    ctx.order.resize(d * n + 4);
-    for (size_t f = 0; f < d; ++f) {
-      const uint32_t* global = columns.SortedOrder(f);
-      uint32_t* out = ctx.order.data() + f * n;
-      size_t k = 0;
-      for (size_t i = 0; i < total_rows; ++i) {
-        const uint32_t r = global[i];
-        const uint32_t m = mult[r];
-        out[k] = r;
-        out[k + 1] = r;
-        out[k + 2] = r;
-        out[k + 3] = r;
-        if (m > 4) {  // vanishingly rare for bootstrap samples
-          for (uint32_t c = 4; c < m; ++c) out[k + c] = r;
-        }
-        k += m;
-      }
-      TG_CHECK_EQ(k, n);
-    }
-    ctx.scratch.resize(n);
-    ctx.side.resize(total_rows);
-    BuildExactNode(&ctx, 0, n, 0);
-    BumpTreeCounters(ctx.split_evals, 0);
-  } else {
-    TG_CHECK_MSG(columns.has_hist_bins(),
-                 "hist engine requires FeatureColumns::EnsureHistBins() "
-                 "before Fit");
-    HistContext ctx{columns, y, &working, rng};
-    const size_t d = columns.cols();
-    ctx.offsets.resize(d + 1);
-    ctx.offsets[0] = 0;
-    for (size_t f = 0; f < d; ++f) {
-      ctx.offsets[f + 1] = ctx.offsets[f] + columns.NumBins(f);
-    }
-    ctx.total_bins = ctx.offsets[d];
-    ctx.side.resize(total_rows);
-    double* root_hist = ctx.Acquire();
-    ctx.BuildHistogram(0, n, root_hist);
-    BuildHistNode(&ctx, 0, n, 0, root_hist);
-    BumpTreeCounters(ctx.split_evals, ctx.hist_builds);
+  FitContext ctx{columns, y, &working, rng};
+  ctx.n = n;
+  // Expand the global per-feature orders into this fit's row multiset:
+  // count each row's multiplicity, then emit rows in global sorted order,
+  // each repeated multiplicity times. Duplicates land adjacent, which is
+  // exactly where a (value, row index) sort would place them.
+  std::vector<uint32_t> mult(total_rows, 0);
+  for (size_t r : working) {
+    TG_CHECK_LT(r, total_rows);
+    ++mult[static_cast<uint32_t>(r)];
   }
+  const size_t d = columns.cols();
+  // +4 slack: the expansion below stores four copies unconditionally and
+  // advances by the actual multiplicity, so trailing rows of a block may
+  // write up to four entries past its logical end (multiplicity 0 leaves k
+  // at n while out[k..k+3] are still stored; overwritten by the next block,
+  // absorbed by the slack on the last one). Bootstrap multiplicities are
+  // ~Poisson(1), which makes a per-row copy loop mispredict constantly;
+  // the unconditional stores cost nothing extra.
+  ctx.order.resize(d * n + 4);
+  for (size_t f = 0; f < d; ++f) {
+    const uint32_t* global = columns.SortedOrder(f);
+    uint32_t* out = ctx.order.data() + f * n;
+    size_t k = 0;
+    for (size_t i = 0; i < total_rows; ++i) {
+      const uint32_t r = global[i];
+      const uint32_t m = mult[r];
+      out[k] = r;
+      out[k + 1] = r;
+      out[k + 2] = r;
+      out[k + 3] = r;
+      if (m > 4) {  // vanishingly rare for bootstrap samples
+        for (uint32_t c = 4; c < m; ++c) out[k + c] = r;
+      }
+      k += m;
+    }
+    TG_CHECK_EQ(k, n);
+  }
+  ctx.scratch.resize(n);
+  ctx.side.resize(total_rows);
+  BuildNode(&ctx, 0, n, 0);
+  BumpSplitEvaluations(ctx.split_evals);
 }
 
 double DecisionTree::Predict(const std::vector<double>& row) const {

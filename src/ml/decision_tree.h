@@ -1,25 +1,13 @@
 // CART regression tree with variance-reduction splits, the base learner for
-// the random forest. Split search runs on one of two engines
-// (ml/tree_engine.h):
-//
-//   * kExact (default) -- pre-sorted exact greedy splits. Instead of the
-//     classic per-node std::sort of (value, y) pairs, each feature's row
-//     order is sorted ONCE per FeatureColumns (by an explicit
-//     (value, row index) key) and every node walks its contiguous segment of
-//     those order lists, partitioning them stably into the children. The
-//     boundaries evaluated, the accumulation order of every partial sum, and
-//     the tie-breaks are arranged to reproduce the per-node-sort formulation
-//     EXACTLY, so fitted trees are bit-identical to the historical
-//     implementation while skipping the O(n log n) factor per node.
-//   * kHist -- LightGBM-style histogram splits. Feature values are quantile-
-//     binned once per FeatureColumns into uint8/uint16 codes; each node
-//     accumulates per-feature (sum_y, count) histograms with the
-//     kernels::HistAccumulate backend kernel and scans O(bins) boundaries
-//     instead of O(n). A node builds only its smaller child's histogram and
-//     derives the larger by subtracting from the parent's. Thresholds stay
-//     raw-value midpoints, so Predict needs no binning. Trees are not
-//     bit-identical to kExact (boundaries are quantized) but draw the same
-//     RNG stream, so switching engines never perturbs sibling trees.
+// the random forest. Split search is pre-sorted exact greedy: instead of the
+// classic per-node std::sort of (value, y) pairs, each feature's row order is
+// sorted ONCE per FeatureColumns (by an explicit (value, row index) key) and
+// every node walks its contiguous segment of those order lists, partitioning
+// them stably into the children. The boundaries evaluated, the accumulation
+// order of every partial sum, and the tie-breaks are arranged to reproduce
+// the per-node-sort formulation EXACTLY, so fitted trees are bit-identical to
+// the historical implementation while skipping the O(n log n) factor per
+// node.
 #ifndef TG_ML_DECISION_TREE_H_
 #define TG_ML_DECISION_TREE_H_
 
@@ -28,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ml/tree_engine.h"
 #include "numeric/matrix.h"
 #include "util/rng.h"
 
@@ -42,11 +29,9 @@ namespace tg::ml {
 // does); the values are the same doubles, so fitted trees are bit-identical
 // to fitting against the matrix directly.
 //
-// The split engines need per-fit-invariant side structures: call
-// EnsureSortedOrders() (exact engine) and/or EnsureHistBins() (hist engine)
-// BEFORE sharing the object read-only across threads -- DecisionTree::Fit
-// checks they exist rather than building them lazily, precisely so a shared
-// const FeatureColumns is never mutated under a parallel fit.
+// The constructor also builds the per-feature sorted row orders the split
+// search walks, so a const FeatureColumns is complete and can be shared
+// read-only across parallel fits.
 class FeatureColumns {
  public:
   explicit FeatureColumns(const Matrix& x);
@@ -58,54 +43,21 @@ class FeatureColumns {
     return data_.data() + f * rows_;
   }
 
-  // Exact engine: for each feature, the row indices sorted by the explicit
-  // key (value, row index). The secondary key makes equal-value runs a
+  // For each feature, the row indices sorted by the explicit key
+  // (value, row index). The secondary key makes equal-value runs a
   // deterministic function of the data alone, independent of std::sort
-  // implementation details. Idempotent.
-  void EnsureSortedOrders();
-  bool has_sorted_orders() const { return orders_built_; }
+  // implementation details.
   const uint32_t* SortedOrder(size_t f) const {
     TG_CHECK_LT(f, cols_);
-    TG_CHECK(has_sorted_orders());
     return sorted_.data() + f * rows_;
-  }
-
-  // Hist engine: quantile bin edges (ml/binning.h) plus per-row bin codes
-  // for each feature. Codes are uint8 when max_bins <= 256 (one byte per
-  // row per feature keeps node histogram builds cache-resident), uint16
-  // otherwise. Idempotent for a fixed max_bins; calling again with a
-  // different max_bins is a hard error.
-  void EnsureHistBins(int max_bins);
-  bool has_hist_bins() const { return hist_max_bins_ != 0; }
-  int hist_max_bins() const { return hist_max_bins_; }
-  bool codes_are_u8() const { return !codes8_.empty() || rows_ == 0; }
-  const std::vector<double>& BinEdges(size_t f) const {
-    TG_CHECK_LT(f, edges_.size());
-    return edges_[f];
-  }
-  // Bins per feature: edges partition values into edges.size() + 1 buckets.
-  size_t NumBins(size_t f) const { return BinEdges(f).size() + 1; }
-  const uint8_t* BinCodes8(size_t f) const {
-    TG_CHECK_LT(f, cols_);
-    return codes8_.data() + f * rows_;
-  }
-  const uint16_t* BinCodes16(size_t f) const {
-    TG_CHECK_LT(f, cols_);
-    return codes16_.data() + f * rows_;
   }
 
  private:
   size_t rows_;
   size_t cols_;
   std::vector<double, AlignedAllocator<double, 64>> data_;
-  // Exact engine side structure (EnsureSortedOrders): cols_ blocks of rows_.
-  bool orders_built_ = false;
+  // Sorted orders: cols_ blocks of rows_.
   std::vector<uint32_t> sorted_;
-  // Hist engine side structures (EnsureHistBins).
-  int hist_max_bins_ = 0;
-  std::vector<std::vector<double>> edges_;
-  std::vector<uint8_t, AlignedAllocator<uint8_t, 64>> codes8_;
-  std::vector<uint16_t, AlignedAllocator<uint16_t, 64>> codes16_;
 };
 
 struct TreeConfig {
@@ -114,10 +66,6 @@ struct TreeConfig {
   size_t min_samples_split = 2;
   // Number of candidate features per split; 0 means all features.
   size_t max_features = 0;
-  // Split-search engine; kAuto resolves through TG_TREE (tree_engine.h).
-  TreeEngineChoice engine = TreeEngineChoice::kAuto;
-  // Hist engine only: histogram resolution per feature.
-  int max_bins = 256;
 };
 
 class DecisionTree {
@@ -126,11 +74,9 @@ class DecisionTree {
 
   // Fits on the rows of x selected by `rows` (with multiplicity, enabling
   // bootstrap samples). `rng` drives feature subsampling; may be null when
-  // max_features == 0. The Matrix form builds a FeatureColumns (plus the
-  // engine's side structure) internally; callers fitting many trees on the
-  // same data (RandomForest) pass a shared prebuilt one instead -- with
-  // EnsureSortedOrders()/EnsureHistBins() already called for the resolved
-  // engine. Both forms produce bit-identical trees.
+  // max_features == 0. The Matrix form builds a FeatureColumns internally;
+  // callers fitting many trees on the same data (RandomForest) pass a shared
+  // prebuilt one instead. Both forms produce bit-identical trees.
   void Fit(const Matrix& x, const std::vector<double>& y,
            const std::vector<size_t>& rows, Rng* rng);
   void Fit(const FeatureColumns& columns, const std::vector<double>& y,
@@ -162,12 +108,9 @@ class DecisionTree {
     int depth = 0;
   };
 
-  struct ExactContext;
-  struct HistContext;
+  struct FitContext;
 
-  int BuildExactNode(ExactContext* ctx, size_t begin, size_t end, int depth);
-  int BuildHistNode(HistContext* ctx, size_t begin, size_t end, int depth,
-                    double* hist);
+  int BuildNode(FitContext* ctx, size_t begin, size_t end, int depth);
 
   TreeConfig config_;
   std::vector<TreeNode> nodes_;

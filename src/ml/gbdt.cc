@@ -201,8 +201,7 @@ struct Gbdt::TreeBuilder {
         best.bin = candidate.bin;
       }
     }
-    // One histogram build per node (covering all features), matching the
-    // decision tree's hist engine so tree.hist_builds has uniform units.
+    // One histogram build per node, covering all features.
     BumpGbdtCounters(best.evals, 1);
     if (best.gain <= 0.0) return node_index;
 

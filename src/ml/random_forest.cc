@@ -2,15 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace tg::ml {
+namespace {
+
+// Comparisons are written so that NaN fails them.
+Status ValidateConfig(const RandomForestConfig& c) {
+  const auto reject = [](const char* field, const char* rule,
+                         const std::string& value) {
+    return Status::InvalidArgument(std::string("RandomForestConfig.") +
+                                   field + " must be " + rule + ", got " +
+                                   value);
+  };
+  using std::to_string;
+  if (c.num_trees < 1) {
+    return reject("num_trees", ">= 1", to_string(c.num_trees));
+  }
+  if (!(c.feature_fraction > 0.0 && c.feature_fraction <= 1.0)) {
+    return reject("feature_fraction", "in (0, 1]",
+                  to_string(c.feature_fraction));
+  }
+  if (c.tree.max_depth < 0) {
+    return reject("tree.max_depth", ">= 0", to_string(c.tree.max_depth));
+  }
+  if (c.tree.min_samples_leaf < 1) {
+    return reject("tree.min_samples_leaf", ">= 1",
+                  to_string(c.tree.min_samples_leaf));
+  }
+  if (c.tree.min_samples_split < 2) {
+    return reject("tree.min_samples_split", ">= 2",
+                  to_string(c.tree.min_samples_split));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status RandomForest::Fit(const TabularDataset& data) {
   TG_TRACE_SPAN("forest_fit");
+  if (Status status = ValidateConfig(config_); !status.ok()) return status;
   if (data.num_rows() == 0) {
     return Status::InvalidArgument("empty training set");
   }
@@ -18,7 +53,7 @@ Status RandomForest::Fit(const TabularDataset& data) {
     return Status::InvalidArgument("target size mismatch");
   }
   trees_.clear();
-  trees_.reserve(static_cast<size_t>(config_.num_trees));
+  num_features_ = data.num_features();
 
   TreeConfig tree_config = config_.tree;
   if (tree_config.max_features == 0) {
@@ -32,20 +67,12 @@ Status RandomForest::Fit(const TabularDataset& data) {
   // bootstrap sample and split-feature subsets from Fork(t) of the config
   // seed, so the fitted forest is bit-identical for any thread count.
   //
-  // The column-major feature copy is built once and shared read-only by
-  // every tree, together with the split engine's per-dataset side structure:
-  // the (value, row index) sorted orders for the exact engine, or the
-  // quantile bin edges + codes for the hist engine (TG_TREE / tree_engine.h).
-  // Building them here, before the parallel loop, keeps the shared object
-  // immutable under the per-tree fits.
+  // The column-major feature copy and its (value, row index) sorted orders
+  // are built once, before the parallel loop, and shared read-only by every
+  // tree.
   const Rng base_rng(config_.seed);
   const size_t n = data.num_rows();
-  FeatureColumns columns(data.x);
-  if (ResolveTreeEngine(tree_config.engine) == TreeEngine::kExact) {
-    columns.EnsureSortedOrders();
-  } else {
-    columns.EnsureHistBins(tree_config.max_bins);
-  }
+  const FeatureColumns columns(data.x);
   trees_.resize(static_cast<size_t>(config_.num_trees),
                 DecisionTree(tree_config));
   // Work estimate: each tree visits ~n bootstrap rows per level; tiny fits
@@ -84,6 +111,8 @@ std::vector<double> RandomForest::FeatureImportances() const {
 
 double RandomForest::Predict(const std::vector<double>& row) const {
   TG_CHECK_MSG(!trees_.empty(), "Predict before Fit");
+  TG_CHECK_MSG(row.size() == num_features_,
+               "Predict row width differs from the training table");
   double acc = 0.0;
   for (const DecisionTree& tree : trees_) acc += tree.Predict(row);
   return acc / static_cast<double>(trees_.size());

@@ -26,6 +26,9 @@ class RandomForest : public Regressor {
   explicit RandomForest(const RandomForestConfig& config = {})
       : config_(config) {}
 
+  // Returns InvalidArgument naming the field for num_trees < 1, a
+  // feature_fraction outside (0, 1], tree.max_depth < 0,
+  // tree.min_samples_leaf < 1 or tree.min_samples_split < 2.
   Status Fit(const TabularDataset& data) override;
   double Predict(const std::vector<double>& row) const override;
   std::string name() const override { return "RF"; }
@@ -37,6 +40,7 @@ class RandomForest : public Regressor {
  private:
   RandomForestConfig config_;
   std::vector<DecisionTree> trees_;
+  size_t num_features_ = 0;
 };
 
 }  // namespace tg::ml

@@ -32,7 +32,6 @@
 #define TG_NUMERIC_KERNEL_BACKEND_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,18 +60,6 @@ struct KernelBackend {
   // backends may contract to FMA (ulp envelope, like axpy); the scalar
   // backend performs the two-rounding mul-then-add sequence.
   void (*mul_add)(double* z, const double* x, const double* y, size_t n);
-  // Histogram scatter-accumulate for binned tree training: for i in order,
-  // r = rows[i]; b = codes[r]; sums[b] += values[r]; counts[b] += 1.0.
-  // The scatter adds MUST run in index order in every backend (bins repeat,
-  // so reassociating would change the sums), which makes these two
-  // bit-identical across backends by construction -- vector backends may
-  // only add prefetching/unrolling around the same serial adds.
-  void (*hist_accumulate_u8)(const uint8_t* codes, const size_t* rows,
-                             size_t n, const double* values, double* sums,
-                             double* counts);
-  void (*hist_accumulate_u16)(const uint16_t* codes, const size_t* rows,
-                              size_t n, const double* values, double* sums,
-                              double* counts);
   double (*fused_dot_sigmoid_update)(const double* w, double* c,
                                      double* center_grad, size_t n,
                                      double label, double lr);

@@ -169,46 +169,6 @@ void MulAddScalarRef(double* z, const double* x, const double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) z[i] += x[i] * y[i];
 }
 
-// --- Histogram scatter-accumulate --------------------------------------------
-
-void HistAccumulate(const uint8_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts) {
-  TG_COUNT_KERNEL("hist_accumulate");
-  ActiveBackend().hist_accumulate_u8(codes, rows, n, values, sums, counts);
-}
-
-void HistAccumulate(const uint16_t* codes, const size_t* rows, size_t n,
-                    const double* values, double* sums, double* counts) {
-  TG_COUNT_KERNEL("hist_accumulate");
-  ActiveBackend().hist_accumulate_u16(codes, rows, n, values, sums, counts);
-}
-
-namespace {
-template <typename Code>
-void HistAccumulateScalarRefImpl(const Code* codes, const size_t* rows,
-                                 size_t n, const double* values, double* sums,
-                                 double* counts) {
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = rows[i];
-    const size_t b = codes[r];
-    sums[b] += values[r];
-    counts[b] += 1.0;
-  }
-}
-}  // namespace
-
-void HistAccumulateScalarRef(const uint8_t* codes, const size_t* rows,
-                             size_t n, const double* values, double* sums,
-                             double* counts) {
-  HistAccumulateScalarRefImpl(codes, rows, n, values, sums, counts);
-}
-
-void HistAccumulateScalarRef(const uint16_t* codes, const size_t* rows,
-                             size_t n, const double* values, double* sums,
-                             double* counts) {
-  HistAccumulateScalarRefImpl(codes, rows, n, values, sums, counts);
-}
-
 // --- Fused skip-gram pair update --------------------------------------------
 
 double FusedDotSigmoidUpdate(const double* w, double* c, double* center_grad,

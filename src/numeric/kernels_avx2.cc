@@ -13,7 +13,6 @@
 //     element as every other backend: bit-identical by construction.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
-#include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
 
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #include <immintrin.h>
@@ -180,8 +179,6 @@ const KernelBackend kAvx2Backend = {
     // there is nothing to vectorize; the win on this backend is hiding the
     // row-gather latency behind software prefetch. Same adds, same order:
     // bit-identical to the scalar backend.
-    generic::HistAccumulatePrefetch<uint8_t>,
-    generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateAvx2,
 };
 

@@ -9,7 +9,6 @@
 // the whole kernel stays in one code shape.
 #include "numeric/kernel_backend.h"
 #include "numeric/kernels.h"
-#include "numeric/kernels_generic.h"  // HistAccumulatePrefetch (scalar adds)
 
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #include <immintrin.h>
@@ -196,8 +195,6 @@ const KernelBackend kAvx512Backend = {
     AxpyAvx512,
     ScaleAddAvx512,
     MulAddAvx512,
-    generic::HistAccumulatePrefetch<uint8_t>,
-    generic::HistAccumulatePrefetch<uint16_t>,
     FusedDotSigmoidUpdateAvx512,
 };
 

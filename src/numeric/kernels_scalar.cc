@@ -20,8 +20,6 @@ const KernelBackend kScalarBackend = {
     generic::Axpy,
     generic::ScaleAdd,
     generic::MulAdd,
-    generic::HistAccumulate<uint8_t>,
-    generic::HistAccumulate<uint16_t>,
     generic::FusedDotSigmoidUpdate,
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/json_util.h"
+#include "util/string_util.h"
 
 namespace tg::obs {
 
@@ -290,12 +292,22 @@ void LogSinkToEventLog(LogLevel level, const char* file, int line,
   EmitLogEvent(level, file, line, message);
 }
 
-double EnvDouble(const char* name, double fallback) {
+// Reads a tuning knob: `fallback` when unset or empty. A set value that is
+// not a finite number > 0 (>= 0 with `allow_zero`) exits 1 naming the
+// variable -- same policy as TG_THREADS: a set knob must never silently fall
+// back.
+double EnvNonNegativeOrExit(const char* name, double fallback,
+                            bool allow_zero) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
+  double parsed = 0.0;
+  if (ParseDouble(value, &parsed) && std::isfinite(parsed) &&
+      (parsed > 0.0 || (allow_zero && parsed == 0.0))) {
+    return parsed;
+  }
+  std::fprintf(stderr, "%s=%s: expected a finite number %s 0\n", name, value,
+               allow_zero ? ">=" : ">");
+  std::exit(1);
 }
 
 }  // namespace
@@ -353,13 +365,11 @@ bool MaybeStartEventLogFromEnv() {
   const char* path = std::getenv("TG_EVENT_LOG");
   if (path == nullptr || *path == '\0') return false;
   EventLogOptions options;
-  const double rate = EnvDouble("TG_EVENT_LOG_RATE", 0.0);
-  if (rate > 0.0) {
-    options.rate_per_sec = rate;
-    options.burst = 2.0 * rate;
-  }
-  const double span_ms = EnvDouble("TG_EVENT_LOG_SPAN_MS", -1.0);
-  if (span_ms >= 0.0) options.span_threshold_ms = span_ms;
+  options.rate_per_sec = EnvNonNegativeOrExit(
+      "TG_EVENT_LOG_RATE", options.rate_per_sec, /*allow_zero=*/false);
+  options.burst = 2.0 * options.rate_per_sec;
+  options.span_threshold_ms = EnvNonNegativeOrExit(
+      "TG_EVENT_LOG_SPAN_MS", options.span_threshold_ms, /*allow_zero=*/true);
   Status started = StartEventLog(path, options);
   if (!started.ok()) {
     std::fprintf(stderr, "event log unavailable: %s\n",

@@ -58,13 +58,13 @@ inline bool EventLogEnabled() {
 
 struct EventLogOptions {
   // Token-bucket shed policy: steady-state events/second and the burst the
-  // bucket absorbs before shedding. TG_EVENT_LOG_RATE overrides the rate
-  // (burst follows at 2x) when > 0.
+  // bucket absorbs before shedding. TG_EVENT_LOG_RATE (> 0) overrides the
+  // rate; burst follows at 2x.
   double rate_per_sec = 2000.0;
   double burst = 4000.0;
   // Span closes shorter than this never reach the log (they would drown
   // it: a skip-gram epoch closes thousands of sub-millisecond spans).
-  // TG_EVENT_LOG_SPAN_MS overrides when >= 0.
+  // TG_EVENT_LOG_SPAN_MS (>= 0) overrides it.
   double span_threshold_ms = 10.0;
   // Drainer wakeup period: latency between an emission and its line being
   // durable in the file.
@@ -85,7 +85,9 @@ void StopEventLog();
 // Starts the log from TG_EVENT_LOG (honoring TG_EVENT_LOG_RATE and
 // TG_EVENT_LOG_SPAN_MS) when the variable is set and non-empty. Returns
 // true iff the log is running afterwards; a failed open logs a warning and
-// returns false -- a bad path must never take the pipeline down.
+// returns false -- a bad path must never take the pipeline down. A set but
+// malformed or out-of-range TG_EVENT_LOG_RATE / TG_EVENT_LOG_SPAN_MS exits 1
+// with a message naming the variable and its value.
 bool MaybeStartEventLogFromEnv();
 
 // The path of the running log ("" when stopped), for /statusz.

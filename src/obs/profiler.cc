@@ -284,11 +284,15 @@ void DrainInto(ProfileAggregates* agg) {
 
 int ProfilerDefaultHz() {
   const char* env = std::getenv("TG_PROFILE_HZ");
-  if (env != nullptr && *env != '\0') {
-    const int hz = std::atoi(env);
-    if (hz > 0) return hz;
+  if (env == nullptr || *env == '\0') return 97;
+  uint64_t hz = 0;
+  if (ParseUint64(env, &hz) && hz >= 1 && hz <= 10000) {
+    return static_cast<int>(hz);
   }
-  return 97;
+  // Same policy as TG_THREADS: a set knob must never silently fall back.
+  std::fprintf(stderr, "TG_PROFILE_HZ=%s: expected an integer in [1, 10000]\n",
+               env);
+  std::exit(1);
 }
 
 bool ProfilerRunning() { return g_running.load(std::memory_order_relaxed); }
@@ -329,11 +333,12 @@ Status StartProfiler(int hz) {
   return Status::FailedPrecondition(
       "sampling profiler requires Linux (timer_create/SIGPROF)");
 #else
+  // Resolved before taking the lock: a malformed TG_PROFILE_HZ exits.
+  if (hz == 0) hz = ProfilerDefaultHz();
   std::lock_guard<std::mutex> lock(g_lifecycle_mu);
   if (g_running.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("profiler already running");
   }
-  if (hz == 0) hz = ProfilerDefaultHz();
   if (hz < 1 || hz > 10000) {
     return Status::InvalidArgument("profile rate out of range [1,10000]: " +
                                    std::to_string(hz));

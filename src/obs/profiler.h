@@ -43,7 +43,8 @@
 namespace tg::obs {
 
 // Sampling rate used when StartProfiler(0) is called: TG_PROFILE_HZ when
-// set to a positive integer, else 97.
+// set and non-empty, else 97. A TG_PROFILE_HZ that is not a decimal integer
+// in [1, 10000] exits 1 with a message naming the value.
 int ProfilerDefaultHz();
 
 // Starts the SIGPROF sampling timer at `hz` samples/sec of process CPU

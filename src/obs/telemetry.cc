@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "ml/tree_engine.h"
 #include "numeric/kernel_backend.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -196,9 +195,8 @@ std::string RenderStatusz() {
   out += ",\"rss_bytes\":" + std::to_string(usage.rss_bytes);
   out += ",\"peak_rss_bytes\":" + std::to_string(usage.peak_rss_bytes);
 
-  out += ",\"backends\":{\"numeric\":" + JsonQuote(kernels::ActiveBackendName());
-  out += ",\"tree\":" +
-         JsonQuote(ml::TreeEngineName(ml::DefaultTreeEngine())) + "}";
+  out += ",\"backends\":{\"numeric\":" +
+         JsonQuote(kernels::ActiveBackendName()) + "}";
 
   // Sweep heartbeat gauges (core/pipeline.cc publishes these).
   const double total = GaugeOrZero(snap, "sweep.targets_total");

@@ -28,8 +28,7 @@ size_t DefaultThreadCount() {
     if (env != nullptr && env[0] != '\0') {
       uint64_t v = 0;
       if (ParseUint64(env, &v) && v > 0) return static_cast<size_t>(v);
-      // Same policy as TG_ISA / TG_TREE: a forced knob must never silently
-      // fall back.
+      // Same policy as TG_ISA: a forced knob must never silently fall back.
       std::fprintf(stderr,
                    "TG_THREADS=%s: expected a positive decimal integer\n",
                    env);

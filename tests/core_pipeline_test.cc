@@ -6,7 +6,6 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/recommender.h"
-#include "ml/tree_engine.h"
 
 namespace tg::core {
 namespace {
@@ -240,26 +239,6 @@ TEST_F(PipelineTest, GraphFeaturesBeatMetadataBaselineOnAverage) {
     tg_total += pipeline_->EvaluateTarget(FastConfig(tg), targets[i]).pearson;
   }
   EXPECT_GT(tg_total / 3.0, lr_total / 3.0);
-}
-
-TEST_F(PipelineTest, HistTreeEngineRankingQualityWithinToleranceOfExact) {
-  // The TG_TREE=hist engine quantizes split thresholds; ranking quality on
-  // the end-to-end pipeline must stay within a small tolerance of exact
-  // mode, not just on synthetic tabular fixtures. Embeddings are cached per
-  // (config, target), so both runs rank the same feature table and the diff
-  // isolates the tree engine.
-  Strategy rf{PredictorKind::kRandomForest, GraphLearner::kNode2Vec,
-              FeatureSet::kAll};
-  const PipelineConfig config = FastConfig(rf);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
-  TargetEvaluation exact = pipeline_->EvaluateTarget(config, target_);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kHist);
-  TargetEvaluation hist = pipeline_->EvaluateTarget(config, target_);
-  ml::SetDefaultTreeEngine(ml::TreeEngine::kExact);
-
-  EXPECT_TRUE(std::isfinite(hist.pearson));
-  EXPECT_GT(hist.pearson, exact.pearson - 0.15);
-  EXPECT_GT(hist.TopKMeanAccuracy(5), exact.TopKMeanAccuracy(5) - 0.1);
 }
 
 TEST_F(PipelineTest, RecommenderReturnsSortedTopModels) {

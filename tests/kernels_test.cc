@@ -366,47 +366,6 @@ TEST_F(KernelsTest, EveryBackendMulAddWithinEnvelopeOfScalarRef) {
   }
 }
 
-// Builds a scatter-accumulate fixture: n row indices into a value array of
-// n + 7 entries (gathers are not the identity), codes striped over `bins`
-// with repeats so multiple rows land in one bin.
-template <typename Code>
-void CheckHistAccumulateEveryBackend(size_t bins, uint64_t seed) {
-  for (const std::string& backend : kernels::AvailableBackendNames()) {
-    ASSERT_TRUE(kernels::SetActiveBackend(backend));
-    Rng rng(seed);
-    for (size_t n : kLengths) {
-      const std::vector<double> values = MixedMagnitude(n + 7, &rng);
-      std::vector<Code> codes(n + 7);
-      std::vector<size_t> rows(n);
-      for (size_t i = 0; i < n + 7; ++i) {
-        codes[i] = static_cast<Code>(rng.NextBelow(bins));
-      }
-      for (size_t i = 0; i < n; ++i) rows[i] = rng.NextBelow(n + 7);
-      std::vector<double> sums1(bins, 0.0), counts1(bins, 0.0);
-      std::vector<double> sums2(bins, 0.0), counts2(bins, 0.0);
-      kernels::HistAccumulate(codes.data(), rows.data(), n, values.data(),
-                              sums1.data(), counts1.data());
-      kernels::HistAccumulateScalarRef(codes.data(), rows.data(), n,
-                                       values.data(), sums2.data(),
-                                       counts2.data());
-      // Scatter-accumulate is a serial dependence chain in index order in
-      // EVERY backend, so this is exact equality, not an envelope: the hist
-      // tree engine must not change with TG_ISA.
-      EXPECT_EQ(sums1, sums2) << backend << " n=" << n;
-      EXPECT_EQ(counts1, counts2) << backend << " n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelsTest, EveryBackendHistAccumulateU8BitIdentical) {
-  CheckHistAccumulateEveryBackend<uint8_t>(256, 41);
-  CheckHistAccumulateEveryBackend<uint8_t>(3, 43);  // heavy bin collisions
-}
-
-TEST_F(KernelsTest, EveryBackendHistAccumulateU16BitIdentical) {
-  CheckHistAccumulateEveryBackend<uint16_t>(1024, 47);
-}
-
 TEST_F(KernelsTest, EveryBackendFusedUpdateWithinEnvelopeOfScalarRef) {
   // Exact sigmoid: the tabulated form is a step function, so the envelope
   // difference in the dot could flip a table bucket and amplify into an O(1)

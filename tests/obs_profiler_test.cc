@@ -8,6 +8,7 @@
 // schema.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -520,6 +521,24 @@ TEST_F(ObsProfilerTest, ChromeTraceCarriesProfilerSamples) {
   // ...and sampled spans carry their per-span sample count as an arg.
   EXPECT_NE(trace.find("profile_samples"), std::string::npos);
   EXPECT_NE(trace.find(kBusySpan), std::string::npos);
+}
+
+// TG_PROFILE_HZ follows the TG_THREADS policy: a set value that is not a
+// decimal integer in [1, 10000] exits 1 naming it, instead of silently
+// becoming the 97 Hz default. The threadsafe death-test style re-executes
+// the binary, so each child reads the knob afresh.
+TEST(ObsProfilerDeathTest, MalformedProfileHzEnvIsHardError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "0", "-5", "97abc", " 97", "10001"}) {
+    ASSERT_EQ(setenv("TG_PROFILE_HZ", bad, 1), 0);
+    EXPECT_EXIT(obs::ProfilerDefaultHz(), ::testing::ExitedWithCode(1),
+                std::string("TG_PROFILE_HZ=") + bad + ": expected an integer")
+        << bad;
+  }
+  ASSERT_EQ(setenv("TG_PROFILE_HZ", "397", 1), 0);
+  EXPECT_EQ(obs::ProfilerDefaultHz(), 397);
+  unsetenv("TG_PROFILE_HZ");
+  EXPECT_EQ(obs::ProfilerDefaultHz(), 97);
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -462,6 +464,40 @@ TEST_F(ObsTelemetryTest, InjectedAcceptFaultShutsServerDownGracefully) {
   EXPECT_FALSE(obs::TelemetryRunning());
   EXPECT_EQ(obs::TelemetryStatusString().rfind("unavailable", 0), 0u);
   obs::StopTelemetry();
+}
+
+// The event-log tuning knobs follow the TG_THREADS policy: a set but
+// malformed or out-of-range value exits 1 naming the variable and its
+// value, instead of silently keeping the default. The threadsafe death-test
+// style re-executes the binary, so each child reads the knobs afresh.
+using ObsTelemetryDeathTest = ObsTelemetryTest;
+
+TEST_F(ObsTelemetryDeathTest, MalformedEventLogKnobsAreHardErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = TempPath("event_log_knobs.jsonl");
+  ASSERT_EQ(setenv("TG_EVENT_LOG", path.c_str(), 1), 0);
+  const std::pair<const char*, const char*> bad[] = {
+      {"TG_EVENT_LOG_RATE", "fast"},   {"TG_EVENT_LOG_RATE", "0"},
+      {"TG_EVENT_LOG_RATE", "-5"},     {"TG_EVENT_LOG_RATE", "100x"},
+      {"TG_EVENT_LOG_RATE", "inf"},    {"TG_EVENT_LOG_SPAN_MS", "slow"},
+      {"TG_EVENT_LOG_SPAN_MS", "-1"},  {"TG_EVENT_LOG_SPAN_MS", "nan"},
+  };
+  for (const auto& [name, value] : bad) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    EXPECT_EXIT(obs::MaybeStartEventLogFromEnv(),
+                ::testing::ExitedWithCode(1),
+                std::string(name) + "=" + value + ": expected a finite number")
+        << name << "=" << value;
+    unsetenv(name);
+  }
+  // In-range values start the log.
+  ASSERT_EQ(setenv("TG_EVENT_LOG_RATE", "500", 1), 0);
+  ASSERT_EQ(setenv("TG_EVENT_LOG_SPAN_MS", "0", 1), 0);
+  EXPECT_TRUE(obs::MaybeStartEventLogFromEnv());
+  EXPECT_EQ(obs::EventLogPath(), path);
+  unsetenv("TG_EVENT_LOG_RATE");
+  unsetenv("TG_EVENT_LOG_SPAN_MS");
+  unsetenv("TG_EVENT_LOG");
 }
 
 }  // namespace

@@ -33,10 +33,10 @@ TEST_F(ThreadPoolTest, ThreadCountIsAtLeastOne) {
   EXPECT_GE(ThreadCount(), 1u);
 }
 
-// TG_THREADS follows the TG_ISA / TG_TREE policy: anything but a positive
-// decimal integer is a hard error that names the value. The threadsafe
-// death-test style re-executes the binary, so each child resolves the knob
-// from scratch instead of reusing this process's cached default.
+// TG_THREADS follows the TG_ISA policy: anything but a positive decimal
+// integer is a hard error that names the value. The threadsafe death-test
+// style re-executes the binary, so each child resolves the knob from scratch
+// instead of reusing this process's cached default.
 TEST_F(ThreadPoolTest, MalformedThreadsEnvIsHardError) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const char* bad : {"abc", "4abc", "0", "-2", " 4"}) {

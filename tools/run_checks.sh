@@ -8,9 +8,9 @@
 # (with an injected-regression self-test of the gate, pinned
 # skipgram_sharded/random_forest_fit stage ratios, absolute
 # random_forest_fit and gbdt_fit wall-time ceilings, and hardware-counter
-# ratio gates), a tree-engine gate (TG_TREE resolution, bogus-value
-# hard-error checks for TG_TREE, TG_THREADS and a malformed --models flag, and
-# a TG_TREE=hist rank smoke under ASan), a distributed-sweep chaos gate
+# ratio gates), a knob-strictness gate (hard-error checks for TG_THREADS,
+# TG_EVENT_LOG_RATE and a malformed --models flag) with a random-forest rank
+# smoke under ASan, a distributed-sweep chaos gate
 # (three workers sharing a workdir with one kill -9'd mid-run: the
 # survivors must reclaim the expired lease and sweep-merge must emit an
 # artifact byte-identical to a serial sweep under TG_THREADS=1 and =4,
@@ -322,26 +322,19 @@ cmp "$DIST_DIR/asan_serial.json" "$ASAN_WD/merged.json" || {
 }
 echo "ASan claim-fault workers + faulted merge stayed bit-identical"
 
-section "tree engine gate: TG_TREE dispatch + hist smoke under ASan"
-# TG_TREE follows the TG_ISA discipline: `backend` reports the resolved
-# engine, and forcing an engine that does not exist must be a hard error,
-# never a silent fallback to exact.
-./build-release/tools/tg_cli backend | grep -q "tree engine: exact" || {
-  echo "expected the default tree engine to resolve to exact" >&2; exit 1;
-}
-TG_TREE=hist ./build-release/tools/tg_cli backend \
-    | grep -q "tree engine: hist" || {
-  echo "TG_TREE=hist must resolve to the hist engine" >&2; exit 1;
-}
-if TG_TREE=bogus ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
-  echo "TG_TREE with a bogus engine must fail hard, not fall back" >&2
-  exit 1
-fi
-# Same strictness for TG_THREADS and for numeric flags: a malformed value is
-# a clean non-zero exit that names it, never a silent fallback and never an
-# uncaught-exception abort (exit 134).
+section "knob strictness gate + random-forest smoke under ASan"
+# TG_THREADS, the event-log tuning knobs and numeric flags follow the TG_ISA
+# discipline: a malformed value is a clean non-zero exit that names it, never
+# a silent fallback and never an uncaught-exception abort (exit 134).
 if TG_THREADS=abc ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
   echo "TG_THREADS=abc must fail hard, not fall back" >&2
+  exit 1
+fi
+EVENT_LOG_OUT="$(mktemp /tmp/tg_events.XXXXXX.jsonl)"
+trap 'rm -f "$EVENT_LOG_OUT"; rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
+if TG_EVENT_LOG="$EVENT_LOG_OUT" TG_EVENT_LOG_RATE=fast \
+    ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
+  echo "TG_EVENT_LOG_RATE=fast must fail hard, not fall back" >&2
   exit 1
 fi
 set +e
@@ -353,41 +346,35 @@ if [ "$BAD_MODELS_RC" -eq 0 ] || [ "$BAD_MODELS_RC" -eq 134 ]; then
       "(got $BAD_MODELS_RC)" >&2
   exit 1
 fi
-# Full rank pipeline on the histogram engine under ASan: the recycled
-# histogram buffers and the in-place sibling subtraction are exactly the
-# kind of raw-pointer lifetime code ASan exists for. The run must also
-# produce a non-degenerate ranking (a real pearson, not the 0.000 of a
-# constant prediction).
+# Full rank pipeline on the random forest under ASan: the split search's
+# order-expansion slack (decision_tree.cc) is only exercised by bootstrap
+# samples, and it is exactly the kind of raw-pointer code ASan exists for.
+# The run must also produce a non-degenerate ranking (a real pearson, not
+# the 0.000 of a constant prediction).
 cmake --build build-asan -j "$JOBS" --target tg_cli
-HIST_OUT="$(mktemp /tmp/tg_hist.XXXXXX.txt)"
-trap 'rm -f "$HIST_OUT"; rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
-TG_TREE=hist ./build-asan/tools/tg_cli rank --modality image --target 0 \
-    --predictor rf | tee "$HIST_OUT"
+RF_OUT="$(mktemp /tmp/tg_rf.XXXXXX.txt)"
+trap 'rm -f "$EVENT_LOG_OUT" "$RF_OUT"; rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
+./build-asan/tools/tg_cli rank --modality image --target 0 \
+    --predictor rf | tee "$RF_OUT"
 # Accept plain decimals, e-notation, and nan/-nan so a degenerate pearson is
 # reported as degenerate instead of "missing".
-HIST_PEARSON="$(sed -n \
-    's/.*pearson \(-\{0,1\}\([0-9.][0-9.eE+-]*\|nan\)\),.*/\1/p' "$HIST_OUT")"
-if [ -z "$HIST_PEARSON" ]; then
-  echo "TG_TREE=hist rank printed no pearson line" >&2; exit 1
+RF_PEARSON="$(sed -n \
+    's/.*pearson \(-\{0,1\}\([0-9.][0-9.eE+-]*\|nan\)\),.*/\1/p' "$RF_OUT")"
+if [ -z "$RF_PEARSON" ]; then
+  echo "random-forest rank printed no pearson line" >&2; exit 1
 fi
-case "$HIST_PEARSON" in
+case "$RF_PEARSON" in
   0.000|-0.000|nan|-nan)
-    echo "TG_TREE=hist rank produced a degenerate ranking" \
-         "(pearson $HIST_PEARSON)" >&2
+    echo "random-forest rank produced a degenerate ranking" \
+         "(pearson $RF_PEARSON)" >&2
     exit 1
     ;;
 esac
-echo "hist engine smoke passed (pearson $HIST_PEARSON)"
-# The exact engine's order-expansion slack (decision_tree.cc) is only
-# exercised by bootstrap samples, so run the default-engine RF rank under
-# ASan too -- the hist smoke above never touches that code path.
-./build-asan/tools/tg_cli rank --modality image --target 0 \
-    --predictor rf >/dev/null
-echo "exact engine RF rank passed under ASan"
+echo "random-forest rank passed under ASan (pearson $RF_PEARSON)"
 
 section "tg_cli trace/metrics smoke check"
 TRACE_FILE="$(mktemp /tmp/tg_trace.XXXXXX.json)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE" "$EVENT_LOG_OUT" "$RF_OUT"; \
      rm -rf "$FAULT_OUT" "$DIST_DIR"' EXIT
 # TG_THREADS=2 forces the pool path so the trace includes pool_drain spans
 # (worker-side parent handoff) even on a single-core machine. --mem and
@@ -424,7 +411,7 @@ section "profiler + hardware-counter gate"
 # per-stage table or say why they cannot. 997 Hz (prime) keeps this short
 # rank run well-sampled without phase-locking against periodic work.
 PROF_DIR="$(mktemp -d /tmp/tg_prof.XXXXXX)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE" "$EVENT_LOG_OUT" "$RF_OUT"; \
      rm -rf "$FAULT_OUT" "$PROF_DIR" "$DIST_DIR"' EXIT
 TG_THREADS=2 ./build-release/tools/tg_cli rank --modality image --target 0 \
     --profile=997 --profile-out "$PROF_DIR/profile.collapsed" \
@@ -492,7 +479,7 @@ section "telemetry gate: live scrape of a running sweep"
 # sweep alive long enough to observe from outside.
 cmake --build build-release -j "$JOBS" --target scrape tg_cli
 TELEM_DIR="$(mktemp -d /tmp/tg_telem.XXXXXX)"
-trap 'rm -f "$TRACE_FILE" "$HIST_OUT"; \
+trap 'rm -f "$TRACE_FILE" "$EVENT_LOG_OUT" "$RF_OUT"; \
      rm -rf "$FAULT_OUT" "$PROF_DIR" "$TELEM_DIR" "$DIST_DIR"' EXIT
 ./build-release/tools/tg_cli sweep --modality image --models 48 \
     --learner n2v --features all --predictor xgb --telemetry-port 0 \

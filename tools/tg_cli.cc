@@ -23,9 +23,9 @@
 //   graph-stats [--modality M]      Table II-style graph statistics
 //   export-graph --out FILE         write the constructed graph as TSV
 //   export-history --out FILE       write the training history as CSV
-//   backend                         print active + available kernel backends,
-//                                   tree engine and thread count (honors
-//                                   TG_ISA, TG_TREE, TG_THREADS)
+//   backend                         print active + available kernel backends
+//                                   and thread count (honors TG_ISA,
+//                                   TG_THREADS)
 //   profile [rank options]          rank (default --target 0) under the
 //                                   sampling profiler and print the report
 //                                   (implies --profile; honors --profile-out)
@@ -87,7 +87,6 @@
 #include "core/recommender.h"
 #include "graph/graph_stats.h"
 #include "graph/serialization.h"
-#include "ml/tree_engine.h"
 #include "numeric/kernel_backend.h"
 #include "obs/event_log.h"
 #include "obs/memory.h"
@@ -684,8 +683,7 @@ int RunExportHistory(const CliArgs& args) {
 // run, one fact per line so shell gates can grep it. Resolution happens on
 // the ActiveBackendName() call, so TG_ISA errors (forcing an unavailable
 // backend) surface here exactly as they would in a real run; likewise the
-// DefaultTreeEngine() and ThreadCount() calls make a bad TG_TREE or
-// TG_THREADS fail here, not mid-pipeline.
+// ThreadCount() call makes a bad TG_THREADS fail here, not mid-pipeline.
 int RunBackend(const CliArgs& args) {
   (void)args;
   std::printf("active: %s\n", kernels::ActiveBackendName());
@@ -695,8 +693,6 @@ int RunBackend(const CliArgs& args) {
     joined += name;
   }
   std::printf("available: %s\n", joined.c_str());
-  std::printf("tree engine: %s (available: exact hist)\n",
-              ml::TreeEngineName(ml::DefaultTreeEngine()));
   std::printf("threads: %zu\n", ThreadCount());
   return 0;
 }
