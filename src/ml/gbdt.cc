@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "ml/binning.h"
@@ -79,42 +80,82 @@ Status ValidateConfig(const GbdtConfig& c) {
 
 }  // namespace
 
-// Depth-first builder for one tree over [begin, end) ranges of `rows`.
+// Depth-first builder for one tree over [begin, end) ranges of `rows`,
+// with sibling histogram subtraction (LightGBM, Ke et al. 2017).
 //
 // Codes are row major (n x k, one byte each) over the k non-constant
 // features, so a node's histograms for a block of features come from one
 // pass over its rows. Within each bin the gradients are added in row order,
-// exactly as a per-feature scatter would add them, so every sum -- and every
-// split -- is independent of the blocking.
+// so every sum -- and every split -- is independent of the blocking.
+//
+// Only the root's histograms and, per split, the smaller child's are filled
+// from rows. The larger child's are the parent's minus the smaller's, in
+// place in the parent's buffer. Counts subtract exactly; the larger child's
+// gradient sums differ from a direct fill by ulps. A node's total (and so
+// its leaf value) is always the row-order sum over its own rows. Children
+// at max_depth are never searched, so a split there fills nothing.
 struct Gbdt::TreeBuilder {
+  // Rows [begin, end) at `depth`; `hist` and `best` are set when searched.
+  struct Node {
+    size_t begin = 0;
+    size_t end = 0;
+    int depth = 0;
+    NodeStats total;
+    HistBin* hist = nullptr;
+    SplitCandidate best;
+  };
+
   const GbdtConfig& config;
   const std::vector<uint8_t>& codes;
   const std::vector<std::vector<double>>& edges;  // per non-constant feature
   const std::vector<size_t>& features;  // non-constant -> original index
   const std::vector<double>& grad;
-  size_t threads;                 // one feature block per thread
-  std::vector<HistBin>& hist;     // k x max_bins, reused by every node
+  size_t threads;                       // one feature block per thread
+  std::vector<HistBin*>& free_hists;    // k x max_bins buffers, LIFO
   std::vector<size_t>& rows;
   std::vector<double>& feature_gains;
   std::vector<GbdtNode> nodes = {};
 
   size_t k() const { return features.size(); }
   size_t stride() const { return static_cast<size_t>(config.max_bins); }
+  size_t num_bins(size_t j) const { return edges[j].size() + 1; }
 
-  // Fills features [f_begin, f_end)'s histograms from rows [begin, end) and
-  // returns the block's best split: bins in order, then features in order,
-  // strict `>`, so ties keep the first boundary a sequential scan meets.
-  SplitCandidate ScanBlock(size_t begin, size_t end, size_t f_begin,
-                           size_t f_end, const NodeStats& total) const {
+  Node MakeNode(size_t begin, size_t end, int depth) const {
+    NodeStats total;
+    for (size_t i = begin; i < end; ++i) total.g += grad[rows[i]];
+    total.h = static_cast<double>(end - begin);
+    return {begin, end, depth, total, nullptr, {}};
+  }
+
+  bool Searchable(const Node& node) const {
+    return node.depth < config.max_depth &&
+           node.total.h >= 2.0 * config.min_child_weight && k() != 0;
+  }
+
+  // A node holds at most one buffer and a pending sibling at most one per
+  // level above it, so max(max_depth, 1) buffers always suffice.
+  HistBin* TakeHist() {
+    TG_CHECK_MSG(!free_hists.empty(), "GBDT histogram pool exhausted");
+    HistBin* hist = free_hists.back();
+    free_hists.pop_back();
+    return hist;
+  }
+  void ReleaseHist(Node& node) {
+    if (node.hist != nullptr) free_hists.push_back(node.hist);
+    node.hist = nullptr;
+  }
+
+  // Fills features [f_begin, f_end)'s histograms of `node` from its rows.
+  void FillBlock(const Node& node, size_t f_begin, size_t f_end) const {
     const size_t width = f_end - f_begin;
     const size_t step = stride();
-    HistBin* block = hist.data() + f_begin * step;
+    HistBin* block = node.hist + f_begin * step;
     for (size_t j = 0; j < width; ++j) {
-      std::fill_n(block + j * step, edges[f_begin + j].size() + 1, HistBin{});
+      std::fill_n(block + j * step, num_bins(f_begin + j), HistBin{});
     }
     const size_t row_width = k();
     const uint8_t* block_codes = codes.data() + f_begin;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = node.begin; i < node.end; ++i) {
       const size_t r = rows[i];
       const double g = grad[r];
       const uint8_t* row_codes = block_codes + r * row_width;
@@ -125,20 +166,40 @@ struct Gbdt::TreeBuilder {
         ++bin.count;
       }
     }
+  }
 
+  // Turns the parent's histograms in `large.hist` into the larger child's.
+  void SubtractBlock(const Node& small, const Node& large, size_t f_begin,
+                     size_t f_end) const {
+    for (size_t j = f_begin; j < f_end; ++j) {
+      const HistBin* part = small.hist + j * stride();
+      HistBin* whole = large.hist + j * stride();
+      for (size_t b = 0; b < num_bins(j); ++b) {
+        whole[b].g -= part[b].g;
+        whole[b].count -= part[b].count;
+      }
+    }
+  }
+
+  // Best split of `node` over features [f_begin, f_end): bins in order,
+  // then features in order, strict `>`, so ties keep the first boundary a
+  // sequential scan meets.
+  SplitCandidate ScoreBlock(const Node& node, size_t f_begin,
+                            size_t f_end) const {
     // Only non-empty bins are scored. A boundary after an empty bin has the
     // same (left, right) as the boundary before it, so the same gain, which
     // the strict `>` never prefers; a leading empty bin leaves left.h = 0,
-    // which fails min_child_weight or scores -gamma <= 0.
+    // which fails min_child_weight or scores -gamma <= 0. A subtracted bin
+    // with count 0 may keep a few ulps of gradient; it is skipped too.
+    const NodeStats& total = node.total;
     const double lambda = config.lambda;
     const double parent_score = total.g * total.g / (total.h + lambda);
     SplitCandidate best;
-    for (size_t j = 0; j < width; ++j) {
-      const HistBin* bins = block + j * step;
-      const size_t num_bins = edges[f_begin + j].size() + 1;
+    for (size_t j = f_begin; j < f_end; ++j) {
+      const HistBin* bins = node.hist + j * stride();
       double left_g = 0.0;
       uint64_t left_count = 0;
-      for (size_t b = 0; b + 1 < num_bins; ++b) {
+      for (size_t b = 0; b + 1 < num_bins(j); ++b) {
         if (bins[b].count == 0) continue;
         left_g += bins[b].g;
         left_count += bins[b].count;
@@ -155,7 +216,7 @@ struct Gbdt::TreeBuilder {
                             config.gamma;
         if (gain > best.gain) {
           best.gain = gain;
-          best.feature = f_begin + j;
+          best.feature = j;
           best.bin = static_cast<uint8_t>(b);
         }
       }
@@ -163,37 +224,23 @@ struct Gbdt::TreeBuilder {
     return best;
   }
 
-  int Build(size_t begin, size_t end, int depth) {
-    NodeStats total;
-    for (size_t i = begin; i < end; ++i) total.g += grad[rows[i]];
-    total.h = static_cast<double>(end - begin);
-    const int node_index = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    nodes[node_index].value =
-        -total.g / (total.h + config.lambda) * config.learning_rate;
+  // One contiguous feature block per pool thread.
+  size_t BlockSize() const { return (k() + threads - 1) / threads; }
+  size_t NumBlocks() const { return (k() + BlockSize() - 1) / BlockSize(); }
 
-    if (depth >= config.max_depth ||
-        total.h < 2.0 * config.min_child_weight || k() == 0) {
-      return node_index;
-    }
+  // Runs `fn(f_begin, f_end, block)` over the feature blocks, inline when
+  // `rows_read` x k is small. Block results reduce in feature order, so the
+  // outcome is bit-identical for any thread count.
+  void ForEachBlock(
+      size_t rows_read,
+      const std::function<void(size_t, size_t, size_t)>& fn) const {
+    TG_TRACE_SPAN("split_search");
+    ParallelForIfWorth(0, k(), BlockSize(), rows_read * k(), fn);
+  }
 
-    // One contiguous feature block per pool thread, each one pass over the
-    // node's rows (small nodes run the blocks inline). The reduction runs
-    // over blocks in feature order with strict `>`, so the chosen split is
-    // bit-identical for any thread count.
-    const size_t block_size = (k() + threads - 1) / threads;
-    std::vector<SplitCandidate> block_best((k() + block_size - 1) /
-                                           block_size);
-    {
-      TG_TRACE_SPAN("split_search");
-      ParallelForIfWorth(0, k(), block_size, (end - begin) * k(),
-                         [&](size_t f_begin, size_t f_end, size_t chunk) {
-                           block_best[chunk] =
-                               ScanBlock(begin, end, f_begin, f_end, total);
-                         });
-    }
+  static SplitCandidate Reduce(const std::vector<SplitCandidate>& blocks) {
     SplitCandidate best;
-    for (const SplitCandidate& candidate : block_best) {
+    for (const SplitCandidate& candidate : blocks) {
       best.evals += candidate.evals;
       if (candidate.gain > best.gain) {
         best.gain = candidate.gain;
@@ -201,29 +248,103 @@ struct Gbdt::TreeBuilder {
         best.bin = candidate.bin;
       }
     }
-    // One histogram build per node, covering all features.
-    BumpGbdtCounters(best.evals, 1);
-    if (best.gain <= 0.0) return node_index;
+    return best;
+  }
+
+  // One parallel region: fill the root's histograms and score them.
+  void SearchRoot(Node& root) {
+    root.hist = TakeHist();
+    std::vector<SplitCandidate> block_best(NumBlocks());
+    ForEachBlock(root.end - root.begin,
+                 [&](size_t f_begin, size_t f_end, size_t block) {
+                   FillBlock(root, f_begin, f_end);
+                   block_best[block] = ScoreBlock(root, f_begin, f_end);
+                 });
+    root.best = Reduce(block_best);
+    BumpGbdtCounters(root.best.evals, 1);
+  }
+
+  // One parallel region per split: fill the smaller child's histograms
+  // into a free buffer, subtract them from `parent_hist`, which becomes the
+  // larger child's, and score each searchable child. Buffers of children
+  // that are not searched go back to the pool.
+  void SearchChildren(HistBin* parent_hist, Node& left, Node& right) {
+    const bool left_smaller = left.end - left.begin <= right.end - right.begin;
+    Node& small = left_smaller ? left : right;
+    Node& large = left_smaller ? right : left;
+    small.hist = TakeHist();
+    large.hist = parent_hist;
+    const bool search_left = Searchable(left);
+    const bool search_right = Searchable(right);
+    std::vector<SplitCandidate> left_best(NumBlocks());
+    std::vector<SplitCandidate> right_best(NumBlocks());
+    ForEachBlock(small.end - small.begin,
+                 [&](size_t f_begin, size_t f_end, size_t block) {
+                   FillBlock(small, f_begin, f_end);
+                   SubtractBlock(small, large, f_begin, f_end);
+                   if (search_left) {
+                     left_best[block] = ScoreBlock(left, f_begin, f_end);
+                   }
+                   if (search_right) {
+                     right_best[block] = ScoreBlock(right, f_begin, f_end);
+                   }
+                 });
+    left.best = Reduce(left_best);
+    right.best = Reduce(right_best);
+    BumpGbdtCounters(left.best.evals + right.best.evals, 1);
+    if (!search_left) ReleaseHist(left);
+    if (!search_right) ReleaseHist(right);
+  }
+
+  // Emits `node` and its subtree; a node with `hist` set has been searched
+  // and owns that buffer until its children take it over.
+  int Grow(Node& node) {
+    const int node_index = static_cast<int>(nodes.size());
+    nodes.emplace_back();
+    nodes[node_index].value =
+        -node.total.g / (node.total.h + config.lambda) * config.learning_rate;
+    if (node.hist == nullptr) return node_index;
+    const SplitCandidate best = node.best;
+    if (best.gain <= 0.0) {
+      ReleaseHist(node);
+      return node_index;
+    }
 
     const uint8_t* split_codes = codes.data() + best.feature;
     auto middle = std::partition(
-        rows.begin() + static_cast<long>(begin),
-        rows.begin() + static_cast<long>(end),
+        rows.begin() + static_cast<long>(node.begin),
+        rows.begin() + static_cast<long>(node.end),
         [&](size_t r) { return split_codes[r * k()] <= best.bin; });
     const size_t mid = static_cast<size_t>(middle - rows.begin());
-    if (mid == begin || mid == end) return node_index;
+    if (mid == node.begin || mid == node.end) {
+      ReleaseHist(node);
+      return node_index;
+    }
     const size_t feature = features[best.feature];
     feature_gains[feature] += best.gain;
 
-    const int left_child = Build(begin, mid, depth + 1);
-    const int right_child = Build(mid, end, depth + 1);
-    GbdtNode& node = nodes[node_index];
-    node.is_leaf = false;
-    node.feature = feature;
-    node.threshold = edges[best.feature][best.bin];
-    node.left = left_child;
-    node.right = right_child;
+    Node left = MakeNode(node.begin, mid, node.depth + 1);
+    Node right = MakeNode(mid, node.end, node.depth + 1);
+    if (Searchable(left) || Searchable(right)) {
+      SearchChildren(node.hist, left, right);
+    } else {
+      ReleaseHist(node);
+    }
+    const int left_child = Grow(left);
+    const int right_child = Grow(right);
+    GbdtNode& out = nodes[node_index];
+    out.is_leaf = false;
+    out.feature = feature;
+    out.threshold = edges[best.feature][best.bin];
+    out.left = left_child;
+    out.right = right_child;
     return node_index;
+  }
+
+  void Build() {
+    Node root = MakeNode(0, rows.size(), 0);
+    if (Searchable(root)) SearchRoot(root);
+    Grow(root);
   }
 };
 
@@ -293,8 +414,15 @@ Status Gbdt::Fit(const TabularDataset& data) {
 
   std::vector<double> predictions(n, base_score_);
   std::vector<double> grad(n);
-  std::vector<HistBin> hist(features.size() *
-                            static_cast<size_t>(config_.max_bins));
+  // One pool of histogram buffers, reused by every tree.
+  const size_t hist_size =
+      features.size() * static_cast<size_t>(config_.max_bins);
+  const size_t pool_size = static_cast<size_t>(std::max(config_.max_depth, 1));
+  std::vector<HistBin> hist_pool(pool_size * hist_size);
+  std::vector<HistBin*> free_hists(pool_size);
+  for (size_t i = 0; i < pool_size; ++i) {
+    free_hists[i] = hist_pool.data() + i * hist_size;
+  }
   const size_t threads = ThreadCount();
   Rng rng(config_.seed);
 
@@ -314,11 +442,11 @@ Status Gbdt::Fit(const TabularDataset& data) {
       if (rows.empty()) rows.push_back(static_cast<size_t>(rng.NextBelow(n)));
     }
 
-    TreeBuilder builder{config_, codes, edges, features,     grad,
-                        threads, hist,  rows,  feature_gains_};
+    TreeBuilder builder{config_, codes,      edges, features,     grad,
+                        threads, free_hists, rows,  feature_gains_};
     {
       TG_TRACE_SPAN("tree_fit");
-      builder.Build(0, rows.size(), 0);
+      builder.Build();
     }
     Tree tree{std::move(builder.nodes)};
 

@@ -120,15 +120,16 @@ Status ParseRule(const std::string& entry, SiteRule* rule) {
 }
 
 // Seeds rules from TG_FAULT during dynamic initialization. A malformed spec
-// must not silently disable chaos runs, so it is reported on stderr; the
-// substrate stays disarmed (fail-safe for production, loud for CI).
+// is a hard error naming the value, like every other TG_* knob: a chaos run
+// must never silently run unarmed.
 [[maybe_unused]] const bool g_env_seeded = [] {
   const char* spec = std::getenv("TG_FAULT");
   if (spec == nullptr || *spec == '\0') return true;
   Status installed = InstallSpec(spec);
   if (!installed.ok()) {
-    std::fprintf(stderr, "ignoring malformed TG_FAULT: %s\n",
+    std::fprintf(stderr, "TG_FAULT=%s: %s\n", spec,
                  installed.ToString().c_str());
+    std::exit(1);
   }
   return true;
 }();

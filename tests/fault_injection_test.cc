@@ -1,6 +1,7 @@
 // Tests for the fault-injection substrate, the atomic file writer, the
 // hardened serialization loader, and the TG_CHECK failure hook.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -279,6 +280,24 @@ TEST_F(SerializationCorruptionTest, RoundTripStillWorksAndWriterFaults) {
   fault::ClearFaults();
   EXPECT_EQ(Slurp(path), before) << "failed writes must not touch the file";
   EXPECT_FALSE(FileExists(path + ".tmp"));
+}
+
+// --- TG_FAULT environment knob ---------------------------------------------
+
+// A malformed TG_FAULT is a hard error naming the value, never a chaos run
+// that silently runs unarmed. The spec is read during static
+// initialization, so the threadsafe death-test style matters: the child
+// re-executes the binary, reads the variable afresh and exits before main.
+TEST(FaultEnvDeathTest, MalformedSpecIsHardError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"atomic_file.write", "x=sometimes", "x=hit:abc",
+                          "x=always;x=once"}) {
+    ASSERT_EQ(setenv("TG_FAULT", bad, 1), 0);
+    EXPECT_EXIT(fault::ClearFaults(), ::testing::ExitedWithCode(1),
+                std::string("TG_FAULT=") + bad + ": ")
+        << bad;
+  }
+  unsetenv("TG_FAULT");
 }
 
 // --- TG_CHECK failure hook --------------------------------------------------

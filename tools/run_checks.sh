@@ -9,8 +9,9 @@
 # skipgram_sharded/random_forest_fit stage ratios, absolute
 # random_forest_fit and gbdt_fit wall-time ceilings, and hardware-counter
 # ratio gates), a knob-strictness gate (hard-error checks for TG_THREADS,
-# TG_EVENT_LOG_RATE and a malformed --models flag) with a random-forest rank
-# smoke under ASan, a distributed-sweep chaos gate
+# TG_EVENT_LOG_RATE, a malformed TG_FAULT, a malformed --models flag and an
+# unknown tg_cli flag) with a random-forest rank smoke under ASan, a
+# distributed-sweep chaos gate
 # (three workers sharing a workdir with one kill -9'd mid-run: the
 # survivors must reclaim the expired lease and sweep-merge must emit an
 # artifact byte-identical to a serial sweep under TG_THREADS=1 and =4,
@@ -157,14 +158,15 @@ else
   # and an absolute 0.38s ceiling: the seed's per-node-sort forest took
   # ~0.75s here, so the ceiling keeps roughly half that speedup banked
   # permanently, baseline drift or not. gbdt_fit@1 (50 trees on the
-  # production-shaped 2035 x 279 table) has an absolute 0.44s ceiling:
-  # the per-feature GBDT builder measured 0.456s median here (0.416-0.544s
-  # over seven runs), the one-pass row-major builder 0.381s (0.336-0.416s).
+  # production-shaped 2035 x 279 table) has an absolute 0.37s ceiling:
+  # over 26 alternating runs here, the builder that filled every node's
+  # histograms from its rows took 0.301-0.509s (median 0.380s) and the
+  # sibling-subtraction builder 0.194-0.360s (median 0.278s).
   ./build-release/tools/bench_history compare \
       --history bench_csv/BENCH_history.json \
       --max-time-ratio 1.60 --min-seconds 0.05 \
       --stage-max-ratio "skipgram_sharded@1=1.25,random_forest_fit@1=1.25" \
-      --stage-max-seconds "random_forest_fit@1=0.38,gbdt_fit@1=0.44" \
+      --stage-max-seconds "random_forest_fit@1=0.38,gbdt_fit@1=0.37" \
       --min-ipc-ratio 0.70 --max-cache-miss-ratio 2.0
   # Gate self-test: a synthetic 2x stage-time regression must make the
   # compare exit non-zero, otherwise the gate is decorative.
@@ -344,6 +346,27 @@ set -e
 if [ "$BAD_MODELS_RC" -eq 0 ] || [ "$BAD_MODELS_RC" -eq 134 ]; then
   echo "tg_cli catalog --models x must exit non-zero without aborting" \
       "(got $BAD_MODELS_RC)" >&2
+  exit 1
+fi
+# A malformed TG_FAULT exits 1 naming the value (a chaos run must never run
+# unarmed), and an unknown flag is a usage error (exit 2), never ignored.
+set +e
+BAD_FAULT_ERR="$(TG_FAULT=x=sometimes ./build-release/tools/tg_cli backend \
+    2>&1 >/dev/null)"
+BAD_FAULT_RC=$?
+BAD_FLAG_ERR="$(./build-release/tools/tg_cli rank --target 0 --bogus 1 \
+    2>&1 >/dev/null)"
+BAD_FLAG_RC=$?
+set -e
+if [ "$BAD_FAULT_RC" -ne 1 ] ||
+    [[ "$BAD_FAULT_ERR" != *"TG_FAULT=x=sometimes"* ]]; then
+  echo "TG_FAULT=x=sometimes must exit 1 naming the value" \
+      "(got $BAD_FAULT_RC)" >&2
+  exit 1
+fi
+if [ "$BAD_FLAG_RC" -ne 2 ] || [[ "$BAD_FLAG_ERR" != *"--bogus"* ]]; then
+  echo "tg_cli rank --target 0 --bogus 1 must exit 2 naming the flag" \
+      "(got $BAD_FLAG_RC)" >&2
   exit 1
 fi
 # Full rank pipeline on the random forest under ASan: the split search's

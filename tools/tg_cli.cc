@@ -217,6 +217,20 @@ void InstallDrainHandlers() {
   ::sigaction(SIGINT, &action, nullptr);
 }
 
+// Every --option any subcommand reads. Anything else is a usage error, so a
+// misspelled flag never silently falls back to its default.
+bool IsKnownOption(const std::string& key) {
+  static const char* const kOptions[] = {
+      "checkpoint", "features", "learner", "lease-sec", "log-level",
+      "logme", "mem", "metrics", "modality", "models", "no-degrade", "out",
+      "perf-counters", "predictor", "profile", "profile-out", "rss-sample",
+      "target", "telemetry-port", "top", "trace", "workdir", "worker-id"};
+  for (const char* option : kOptions) {
+    if (key == option) return true;
+  }
+  return false;
+}
+
 Result<CliArgs> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   CliArgs args;
@@ -227,22 +241,25 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
                                      argv[i]);
     }
     std::string key = argv[i] + 2;
-    // --option=value form (e.g. --profile=397).
+    std::string value = "true";
     const size_t eq = key.find('=');
     if (eq != std::string::npos) {
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
+      // --option=value form (e.g. --profile=397).
+      value = key.substr(eq + 1);
+      key.resize(eq);
       i += 1;
-      continue;
-    }
-    // Boolean flags (e.g. --metrics) take no value: the next token is either
-    // absent or another --option.
-    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-      args.options[key] = "true";
+    } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      // Boolean flags (e.g. --metrics) take no value: the next token is
+      // either absent or another --option.
       i += 1;
     } else {
-      args.options[key] = argv[i + 1];
+      value = argv[i + 1];
       i += 2;
     }
+    if (!IsKnownOption(key)) {
+      return Status::InvalidArgument("unknown option --" + key);
+    }
+    args.options[key] = value;
   }
   const std::string models = args.Get("models", "");
   if (!models.empty()) {
