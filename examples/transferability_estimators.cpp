@@ -47,11 +47,13 @@ int main() {
   const auto models = zoo.ModelsOfModality(zoo::Modality::kImage);
   for (size_t i = 0; i < 8; ++i) {
     const size_t m = models[i];
-    table.AddRow({zoo.models()[m].name, FormatDouble(zoo.LogMe(m, target), 3),
-                  FormatDouble(zoo.Leep(m, target), 3),
-                  FormatDouble(zoo.Nce(m, target), 3),
-                  FormatDouble(zoo.Parc(m, target), 1),
-                  FormatDouble(zoo.HScoreOf(m, target), 2),
+    table.AddRow({zoo.models()[m].name,
+                  FormatDouble(zoo.Score(zoo::Estimator::kLogMe, m, target), 3),
+                  FormatDouble(zoo.Score(zoo::Estimator::kLeep, m, target), 3),
+                  FormatDouble(zoo.Score(zoo::Estimator::kNce, m, target), 3),
+                  FormatDouble(zoo.Score(zoo::Estimator::kParc, m, target), 1),
+                  FormatDouble(zoo.Score(zoo::Estimator::kHScore, m, target),
+                               2),
                   FormatDouble(zoo.FineTuneAccuracy(m, target), 3)});
   }
   table.Print();

@@ -48,28 +48,11 @@ TargetEvaluation EvaluateEstimatorBaseline(
     zoo::FineTuneMethod evaluation_method) {
   const zoo::Modality modality = zoo->datasets()[target_dataset].modality;
   std::vector<size_t> model_ids = zoo->ModelsOfModality(modality);
+  zoo->FillScores(baseline, model_ids, {target_dataset});
   std::vector<double> predicted;
   predicted.reserve(model_ids.size());
   for (size_t m : model_ids) {
-    double score = 0.0;
-    switch (baseline) {
-      case EstimatorBaseline::kLogMe:
-        score = zoo->LogMe(m, target_dataset);
-        break;
-      case EstimatorBaseline::kLeep:
-        score = zoo->Leep(m, target_dataset);
-        break;
-      case EstimatorBaseline::kNce:
-        score = zoo->Nce(m, target_dataset);
-        break;
-      case EstimatorBaseline::kParc:
-        score = zoo->Parc(m, target_dataset);
-        break;
-      case EstimatorBaseline::kHScore:
-        score = zoo->HScoreOf(m, target_dataset);
-        break;
-    }
-    predicted.push_back(score);
+    predicted.push_back(zoo->Score(baseline, m, target_dataset));
   }
   return Finish(zoo, target_dataset, std::move(model_ids),
                 std::move(predicted), evaluation_method);

@@ -10,7 +10,8 @@
 
 namespace tg::core {
 
-enum class EstimatorBaseline { kLogMe, kLeep, kNce, kParc, kHScore };
+// The zoo's estimator enum: the baseline ranks by that estimator's scores.
+using EstimatorBaseline = zoo::Estimator;
 
 const char* EstimatorBaselineName(EstimatorBaseline baseline);
 

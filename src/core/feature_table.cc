@@ -46,6 +46,7 @@ double FeatureAssembler::NormalizedLogMe(size_t model, size_t dataset) {
   auto it = normalized_logme_.find(dataset);
   if (it == normalized_logme_.end()) {
     const std::vector<size_t> model_ids = zoo_->ModelsOfModality(modality_);
+    zoo_->FillScores(zoo::Estimator::kLogMe, model_ids, {dataset});
     std::vector<double> scores;
     scores.reserve(model_ids.size());
     for (size_t m : model_ids) scores.push_back(zoo_->LogMe(m, dataset));

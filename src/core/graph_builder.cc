@@ -9,10 +9,28 @@
 
 namespace tg::core {
 
+void FillGraphInputs(zoo::ModelZoo* zoo, zoo::Modality modality,
+                     const GraphBuildOptions& options) {
+  {
+    TG_TRACE_SPAN("dataset_embeddings");
+    zoo->FillDatasetEmbeddings(zoo->DatasetsOfModality(modality),
+                               options.representation);
+  }
+  if (!options.include_transferability_edges) return;
+  TG_TRACE_SPAN("score_fill");
+  std::vector<size_t> datasets = zoo->PublicDatasets(modality);
+  if (options.exclude_target.has_value()) {
+    std::erase(datasets, *options.exclude_target);
+  }
+  zoo->FillScores(zoo::Estimator::kLogMe, zoo->ModelsOfModality(modality),
+                  datasets);
+}
+
 BuiltGraph BuildModelZooGraph(zoo::ModelZoo* zoo, zoo::Modality modality,
                               const GraphBuildOptions& options) {
   TG_CHECK_GT(options.history_ratio, 0.0);
   TG_TRACE_SPAN("graph_build");
+  FillGraphInputs(zoo, modality, options);
   BuiltGraph built;
   Rng rng(options.seed);
 
@@ -31,14 +49,17 @@ BuiltGraph BuildModelZooGraph(zoo::ModelZoo* zoo, zoo::Modality modality,
   }
 
   // --- D-D similarity edges: all pairs (kept under leave-one-out) ---
-  for (size_t i = 0; i < dataset_ids.size(); ++i) {
-    for (size_t j = i + 1; j < dataset_ids.size(); ++j) {
-      const double sim = zoo->DatasetSimilarityScore(
-          dataset_ids[i], dataset_ids[j], options.representation);
-      built.graph.AddUndirectedEdge(built.dataset_node[dataset_ids[i]],
-                                    built.dataset_node[dataset_ids[j]],
-                                    EdgeType::kDatasetDataset,
-                                    std::max(sim, 1e-3));
+  {
+    TG_TRACE_SPAN("dd_similarity");
+    for (size_t i = 0; i < dataset_ids.size(); ++i) {
+      for (size_t j = i + 1; j < dataset_ids.size(); ++j) {
+        const double sim = zoo->DatasetSimilarityScore(
+            dataset_ids[i], dataset_ids[j], options.representation);
+        built.graph.AddUndirectedEdge(built.dataset_node[dataset_ids[i]],
+                                      built.dataset_node[dataset_ids[j]],
+                                      EdgeType::kDatasetDataset,
+                                      std::max(sim, 1e-3));
+      }
     }
   }
 

@@ -52,8 +52,16 @@ struct BuiltGraph {
   std::unordered_map<size_t, NodeId> model_node;
 };
 
-// Builds the graph for one modality. `zoo` is mutated only through its
-// internal caches.
+// Fills every zoo cache the graph reads: the modality's dataset embeddings
+// for `options.representation` and, with transferability edges on, LogME of
+// every model on every public dataset except `options.exclude_target`, the
+// latter in one parallel region over the missing pairs (inline when nested
+// in a pool worker, as in a sweep target).
+void FillGraphInputs(zoo::ModelZoo* zoo, zoo::Modality modality,
+                     const GraphBuildOptions& options);
+
+// Builds the graph for one modality, calling FillGraphInputs first. `zoo` is
+// mutated only through its internal caches.
 BuiltGraph BuildModelZooGraph(zoo::ModelZoo* zoo, zoo::Modality modality,
                               const GraphBuildOptions& options);
 

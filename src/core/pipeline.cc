@@ -26,6 +26,27 @@ namespace {
 // lifetime can store to it; sweeps poll it between targets.
 std::atomic<bool> g_sweep_drain{false};
 
+// Fills the zoo caches that the pending targets' graphs read, before a sweep
+// fans out: one parallel fill instead of one per target, so concurrent
+// targets only read and no pair is computed twice. Two or more leave-one-out
+// fills add up to the fill with no target excluded. Best effort: if it
+// fails, each target fills its own columns, as a lone query does.
+void PrefillSweep(zoo::ModelZoo* zoo, zoo::Modality modality,
+                  const PipelineConfig& config,
+                  const std::vector<size_t>& pending) {
+  if (!config.strategy.UsesGraphFeatures() || pending.empty()) return;
+  TG_TRACE_SPAN("sweep_prefill");
+  GraphBuildOptions options = config.graph;
+  options.exclude_target.reset();
+  if (pending.size() == 1) options.exclude_target = pending[0];
+  try {
+    FillGraphInputs(zoo, modality, options);
+  } catch (const std::exception& e) {
+    TG_LOG(Warning) << "sweep pre-fill failed (" << e.what()
+                    << "); targets fill their own scores";
+  }
+}
+
 }  // namespace
 
 void RequestSweepDrain() {
@@ -312,6 +333,7 @@ std::vector<TargetEvaluation> Pipeline::EvaluateAllTargets(
   // bit-identical for any thread count.
   const std::vector<size_t> targets = zoo_->EvaluationTargets(modality_);
   TG_TRACE_SPAN("evaluate_all_targets");
+  PrefillSweep(zoo_, modality_, config, targets);
   std::vector<TargetEvaluation> out(targets.size());
   ParallelFor(0, targets.size(), 1,
               [&](size_t begin, size_t end, size_t /*chunk*/) {
@@ -511,6 +533,12 @@ SweepResult Pipeline::EvaluateAllTargetsResumable(
     obs::EmitEvent("sweep.target_end", target_name,
                    ok ? (degraded ? "degraded" : "ok") : "failed");
   };
+
+  std::vector<size_t> pending;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    if (!done[i]) pending.push_back(targets[i]);
+  }
+  PrefillSweep(zoo_, modality_, config, pending);
 
   try {
     ParallelFor(0, targets.size(), 1,

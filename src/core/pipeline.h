@@ -118,13 +118,14 @@ class Pipeline {
   Pipeline(zoo::ModelZoo* zoo, zoo::Modality modality);
 
   // Full leave-one-out evaluation of one target dataset. Thread-safe: the
-  // embedding cache and the zoo's score caches are internally synchronized.
+  // embedding cache and the zoo's caches are internally synchronized.
   TargetEvaluation EvaluateTarget(const PipelineConfig& config,
                                   size_t target_dataset);
 
   // Evaluates every evaluation-target dataset of the modality, in parallel
   // across the global thread pool (TG_THREADS). Bit-identical results for
-  // any thread count given a fixed config seed.
+  // any thread count given a fixed config seed. Both sweep drivers fill the
+  // zoo caches the targets' graphs read once, before they fan out.
   std::vector<TargetEvaluation> EvaluateAllTargets(
       const PipelineConfig& config);
 

@@ -8,11 +8,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "numeric/kernel_backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 
 namespace tg::kernels {
 namespace {
@@ -20,12 +20,10 @@ namespace {
 // Sigmoid mode word: 0 = uninitialized, 1 = tabulated, 2 = exact.
 std::atomic<int> g_sigmoid_mode{0};
 
-int InitSigmoidModeFromEnv() {
-  const char* env = std::getenv("TG_EXACT_SIGMOID");
-  const bool exact = env != nullptr && env[0] != '\0' &&
-                     !(env[0] == '0' && env[1] == '\0');
-  return exact ? 2 : 1;
-}
+int InitSigmoidModeFromEnv() { return EnvFlag("TG_EXACT_SIGMOID") ? 2 : 1; }
+
+// Resolves the knob at start-up, so a malformed value fails before any work.
+[[maybe_unused]] const bool g_sigmoid_env_read = (GetSigmoidMode(), true);
 
 // Midpoint-sampled sigmoid table over [-kSigmoidClip, kSigmoidClip]. Bucket
 // width 2 * clip / size; with clip 8 and 4096 entries the midpoint error is

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <vector>
 
+#include "util/env.h"
 #include "util/fault.h"
 
 namespace tg::obs {
@@ -70,15 +70,10 @@ inline void CountAllocation(size_t size) {
   t_in_hook = false;
 }
 
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
 // Seeds the flag from TG_MEM_TRACK during dynamic initialization.
 // Allocations before this runs are simply uncounted.
 const bool g_env_seeded = [] {
-  if (EnvFlagSet("TG_MEM_TRACK")) {
+  if (EnvFlag("TG_MEM_TRACK")) {
     g_mem_tracking.store(true, std::memory_order_relaxed);
   }
   return true;

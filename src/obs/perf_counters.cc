@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "obs/metrics.h"
+#include "util/env.h"
 #include "util/fault.h"
 #include "util/json_util.h"
 #include "util/string_util.h"
@@ -44,13 +45,8 @@ void LatchUnavailable(const std::string& reason) {
   }
 }
 
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
 [[maybe_unused]] const bool g_env_seeded = [] {
-  if (EnvFlagSet("TG_PERF_COUNTERS")) {
+  if (EnvFlag("TG_PERF_COUNTERS")) {
     g_perf_enabled.store(true, std::memory_order_relaxed);
   }
   return true;

@@ -19,6 +19,7 @@
 #include "util/build_info.h"
 #include "util/http_server.h"
 #include "util/json_util.h"
+#include "util/string_util.h"
 
 namespace tg::obs {
 
@@ -351,12 +352,14 @@ bool MaybeStartTelemetryFromEnv() {
   if (TelemetryRunning()) return true;
   const char* value = std::getenv("TG_TELEMETRY_PORT");
   if (value == nullptr || *value == '\0') return false;
-  char* end = nullptr;
-  const long port = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || port < 0 || port > 65535) {
-    std::fprintf(stderr, "TG_TELEMETRY_PORT=%s: not a port; telemetry off\n",
+  uint64_t port = 0;
+  if (!ParseUint64(value, &port) || port > 65535) {
+    // A set knob never silently falls back (the TG_THREADS policy); only a
+    // failed bind below degrades to running without telemetry.
+    std::fprintf(stderr,
+                 "TG_TELEMETRY_PORT=%s: expected a port in [0, 65535]\n",
                  value);
-    return false;
+    std::exit(1);
   }
   Status started = StartTelemetry(static_cast<int>(port));
   if (!started.ok()) {

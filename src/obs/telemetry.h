@@ -57,7 +57,8 @@ bool TelemetryRunning();
 int TelemetryPort();
 
 // Starts from TG_TELEMETRY_PORT when set and non-empty; logs the bound
-// address on success and a warning on failure. Returns true iff running.
+// address on success and a warning when the bind fails. A value that is not
+// a port in [0, 65535] exits 1 naming it. Returns true iff running.
 bool MaybeStartTelemetryFromEnv();
 
 // "disabled" | "ok" | "unavailable (<reason>)". Embedded in BuildInfoJson()

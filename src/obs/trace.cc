@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -17,6 +16,7 @@
 #include "obs/resource_sampler.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
+#include "util/env.h"
 #include "util/json_util.h"
 #include "util/logging.h"
 
@@ -35,19 +35,17 @@ constexpr uint32_t kEventLogBit = 8u;
 // stacks that AllThreadsOpenSpans() reads for /statusz.
 constexpr uint32_t kTelemetryBit = 16u;
 
-bool EnvFlagSet(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
 std::atomic<uint32_t>& Mode() {
   // Function-local so first use (from any TU, any time) is well-defined;
   // seeded once from the environment knobs.
   static std::atomic<uint32_t> mode{
-      (EnvFlagSet("TG_TRACE") ? kTraceBit : 0u) |
-      (EnvFlagSet("TG_METRICS") ? kMetricsBit : 0u)};
+      (EnvFlag("TG_TRACE") ? kTraceBit : 0u) |
+      (EnvFlag("TG_METRICS") ? kMetricsBit : 0u)};
   return mode;
 }
+
+// Reads the knobs at start-up, so a malformed value fails before any work.
+[[maybe_unused]] const bool g_mode_env_read = (Mode(), true);
 
 // --- Per-thread record buffers ---------------------------------------------
 //

@@ -17,6 +17,10 @@ Status ExportTrainingHistoryCsv(ModelZoo* zoo, Modality modality,
   if (options.include_logme) header.push_back("logme");
   csv.WriteRow(header);
 
+  if (options.include_logme) {
+    zoo->FillScores(Estimator::kLogMe, zoo->ModelsOfModality(modality),
+                    zoo->PublicDatasets(modality));
+  }
   for (size_t d : zoo->PublicDatasets(modality)) {
     for (size_t m : zoo->ModelsOfModality(modality)) {
       const ModelInfo& model = zoo->models()[m];

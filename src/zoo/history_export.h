@@ -14,7 +14,7 @@ namespace tg::zoo {
 struct HistoryExportOptions {
   FineTuneMethod method = FineTuneMethod::kFullFineTune;
   // Including LogME makes the export slower on a cold cache (one LogME run
-  // per pair).
+  // per missing pair, filled in one parallel region).
   bool include_logme = true;
 };
 

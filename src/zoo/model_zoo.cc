@@ -1,5 +1,7 @@
 #include "zoo/model_zoo.h"
 
+#include <string>
+
 #include "features/domain_similarity.h"
 #include "features/task2vec.h"
 #include "obs/metrics.h"
@@ -9,34 +11,69 @@
 #include "transferability/nce.h"
 #include "transferability/parc.h"
 #include "util/check.h"
-#include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace tg::zoo {
 namespace {
 
-// One hit/miss counter pair covers all five transferability-score caches
-// (LogME/LEEP/NCE/PARC/H-score): they share the zoo-wide memoization policy
-// and the interesting signal is whether *any* score was recomputed.
-void CountScoreCache(bool hit) {
-  static obs::Counter& hits =
-      obs::MetricsRegistry::Instance().GetCounter("zoo.score_cache.hit");
-  static obs::Counter& misses =
-      obs::MetricsRegistry::Instance().GetCounter("zoo.score_cache.miss");
-  (hit ? hits : misses).Increment();
+// One hit/miss counter pair per cache: a miss is one computed value, a hit
+// one read served from the cache. A fill's check for keys already present
+// counts as neither.
+obs::Counter& CacheCounter(const char* cache, bool hit) {
+  return obs::MetricsRegistry::Instance().GetCounter(
+      std::string("zoo.") + cache + (hit ? ".hit" : ".miss"));
 }
 
-void CountEmbeddingCache(bool hit) {
-  static obs::Counter& hits = obs::MetricsRegistry::Instance().GetCounter(
-      "zoo.dataset_embedding_cache.hit");
-  static obs::Counter& misses = obs::MetricsRegistry::Instance().GetCounter(
-      "zoo.dataset_embedding_cache.miss");
-  (hit ? hits : misses).Increment();
+// Computes the keys missing from `cache`, each into its own slot, across
+// the pool when `parallel` (else inline), and publishes them in key order;
+// the first insert of a key wins. Returns how many it computed.
+template <typename Key, typename Value, typename Compute>
+size_t FillMissing(std::mutex& mu, std::unordered_map<Key, Value>& cache,
+                   const std::vector<Key>& keys, bool parallel,
+                   const Compute& compute) {
+  std::vector<Key> missing;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const Key& key : keys) {
+      if (!cache.contains(key)) missing.push_back(key);
+    }
+  }
+  std::vector<Value> values(missing.size());
+  const size_t grain = parallel ? 1 : missing.size();
+  ParallelFor(0, missing.size(), grain, [&](size_t begin, size_t end, size_t) {
+    for (size_t i = begin; i < end; ++i) values[i] = compute(missing[i]);
+  });
+  std::lock_guard<std::mutex> lock(mu);
+  for (size_t i = 0; i < missing.size(); ++i) {
+    cache.emplace(missing[i], std::move(values[i]));
+  }
+  return missing.size();
+}
+
+// Reads `key`, running `fill` first on a miss.
+template <typename Key, typename Value, typename Fill>
+const Value& ReadOrFill(std::mutex& mu, std::unordered_map<Key, Value>& cache,
+                        const Key& key, obs::Counter& hits, const Fill& fill) {
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = cache.find(key);
+    if (it != cache.end()) {
+      hits.Increment();
+      return it->second;
+    }
+  }
+  fill();
+  std::lock_guard<std::mutex> lock(mu);
+  return cache.at(key);
 }
 
 }  // namespace
 
 ModelZoo::ModelZoo(const ModelZooConfig& config)
     : config_(config), catalog_(BuildCatalog(config.catalog)) {
+  // ScoreKey packs the model and dataset indices into 24 bits each.
+  TG_CHECK(catalog_.models.size() <= kIndexMask &&
+           catalog_.datasets.size() <= kIndexMask);
   world_ = std::make_unique<SyntheticWorld>(catalog_, config.world);
   // Publish the world's pre-training accuracies into the model metadata.
   for (size_t m = 0; m < catalog_.models.size(); ++m) {
@@ -97,33 +134,36 @@ double ModelZoo::PretrainAccuracy(size_t model) const {
 
 const std::vector<double>& ModelZoo::DatasetEmbedding(
     size_t dataset, DatasetRepresentation repr) {
-  auto& cache = repr == DatasetRepresentation::kDomainSimilarity
-                    ? domain_embeddings_
-                    : task2vec_embeddings_;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache.find(dataset);
-    if (it != cache.end()) {
-      CountEmbeddingCache(true);
-      return it->second;
-    }
-  }
-  CountEmbeddingCache(false);
-  // Compute outside the lock; concurrent misses on the same key produce
-  // identical values and the first emplace wins.
+  static obs::Counter& hits = CacheCounter("dataset_embedding_cache", true);
+  return ReadOrFill(cache_mu_, embeddings_[static_cast<size_t>(repr)],
+                    dataset, hits,
+                    [&] { FillDatasetEmbeddings({dataset}, repr); });
+}
+
+void ModelZoo::FillDatasetEmbeddings(const std::vector<size_t>& datasets,
+                                     DatasetRepresentation repr) {
+  static obs::Counter& misses =
+      CacheCounter("dataset_embedding_cache", false);
+  // Inline: each embedding holds ~2 MB of probe-network temporaries, and in
+  // parallel every pool thread's malloc arena kept them (a 4-thread cold
+  // rank peaked ~9 MiB higher) for no measurable wall-time gain.
+  misses.Increment(FillMissing(
+      cache_mu_, embeddings_[static_cast<size_t>(repr)], datasets,
+      /*parallel=*/false,
+      [&](size_t d) { return ComputeDatasetEmbedding(d, repr); }));
+}
+
+std::vector<double> ModelZoo::ComputeDatasetEmbedding(
+    size_t dataset, DatasetRepresentation repr) {
   const DatasetSamples& samples = world_->Samples(dataset);
-  std::vector<double> embedding;
   if (repr == DatasetRepresentation::kDomainSimilarity) {
-    embedding = probe_->DatasetEmbedding(samples.ambient);
-  } else {
-    const Matrix probe_features = probe_->EmbedSamples(samples.ambient);
-    Result<std::vector<double>> result = Task2VecEmbedding(
-        probe_features, samples.labels, samples.num_classes);
-    TG_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-    embedding = std::move(result).value();
+    return probe_->DatasetEmbedding(samples.ambient);
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return cache.emplace(dataset, std::move(embedding)).first->second;
+  const Matrix probe_features = probe_->EmbedSamples(samples.ambient);
+  Result<std::vector<double>> result =
+      Task2VecEmbedding(probe_features, samples.labels, samples.num_classes);
+  TG_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+  return std::move(result).value();
 }
 
 double ModelZoo::DatasetSimilarityScore(size_t a, size_t b,
@@ -133,105 +173,52 @@ double ModelZoo::DatasetSimilarityScore(size_t a, size_t b,
                            DatasetEmbedding(b, repr));
 }
 
-double ModelZoo::LogMe(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = logme_cache_.find(key);
-    if (it != logme_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score =
-      LogMeScore(features, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  logme_cache_.emplace(key, score.value());
-  return score.value();
+double ModelZoo::Score(Estimator estimator, size_t model, size_t dataset) {
+  static obs::Counter& hits = CacheCounter("score_cache", true);
+  return ReadOrFill(cache_mu_, scores_, ScoreKey(estimator, model, dataset),
+                    hits,
+                    [&] { FillScores(estimator, {model}, {dataset}); });
 }
 
-double ModelZoo::Leep(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = leep_cache_.find(key);
-    if (it != leep_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
+void ModelZoo::FillScores(Estimator estimator,
+                          const std::vector<size_t>& models,
+                          const std::vector<size_t>& datasets) {
+  static obs::Counter& misses = CacheCounter("score_cache", false);
+  std::vector<uint64_t> keys;  // dataset-major pair order
+  for (size_t d : datasets) {
+    for (size_t m : models) keys.push_back(ScoreKey(estimator, m, d));
   }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix probs = world_->SourceProbabilities(model, dataset);
-  Result<double> score = LeepScore(probs, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  leep_cache_.emplace(key, score.value());
-  return score.value();
+  misses.Increment(FillMissing(
+      cache_mu_, scores_, keys, /*parallel=*/true, [&](uint64_t key) {
+        return ComputeScore(estimator, (key >> 24) & kIndexMask,
+                            key & kIndexMask);
+      }));
 }
 
-double ModelZoo::Nce(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = nce_cache_.find(key);
-    if (it != nce_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
+double ModelZoo::ComputeScore(Estimator estimator, size_t model,
+                              size_t dataset) {
   const DatasetSamples& samples = world_->Samples(dataset);
-  const std::vector<int> source = world_->SourceHardLabels(model, dataset);
-  Result<double> score = NceScore(source, samples.labels);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  nce_cache_.emplace(key, score.value());
-  return score.value();
-}
-
-double ModelZoo::Parc(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = parc_cache_.find(key);
-    if (it != parc_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
+  const Result<double> score = [&]() -> Result<double> {
+    switch (estimator) {
+      case Estimator::kLogMe:
+        return LogMeScore(world_->ExtractFeatures(model, dataset),
+                          samples.labels, samples.num_classes);
+      case Estimator::kLeep:
+        return LeepScore(world_->SourceProbabilities(model, dataset),
+                         samples.labels, samples.num_classes);
+      case Estimator::kNce:
+        return NceScore(world_->SourceHardLabels(model, dataset),
+                        samples.labels);
+      case Estimator::kParc:
+        return ParcScore(world_->ExtractFeatures(model, dataset),
+                         samples.labels, samples.num_classes);
+      case Estimator::kHScore:
+        return HScore(world_->ExtractFeatures(model, dataset), samples.labels,
+                      samples.num_classes);
     }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score =
-      ParcScore(features, samples.labels, samples.num_classes);
+    return Status::InvalidArgument("unknown estimator");
+  }();
   TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  parc_cache_.emplace(key, score.value());
-  return score.value();
-}
-
-double ModelZoo::HScoreOf(size_t model, size_t dataset) {
-  const uint64_t key = PairKey(model, dataset);
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = hscore_cache_.find(key);
-    if (it != hscore_cache_.end()) {
-      CountScoreCache(true);
-      return it->second;
-    }
-  }
-  CountScoreCache(false);
-  const DatasetSamples& samples = world_->Samples(dataset);
-  const Matrix features = world_->ExtractFeatures(model, dataset);
-  Result<double> score = HScore(features, samples.labels, samples.num_classes);
-  TG_CHECK_MSG(score.ok(), score.status().ToString().c_str());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  hscore_cache_.emplace(key, score.value());
   return score.value();
 }
 

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +20,10 @@
 namespace tg::zoo {
 
 enum class DatasetRepresentation { kDomainSimilarity, kTask2Vec };
+
+// The transferability estimators whose scores the zoo tables per
+// (model, dataset) pair.
+enum class Estimator { kLogMe, kLeep, kNce, kParc, kHScore };
 
 struct ModelZooConfig {
   CatalogOptions catalog;
@@ -59,30 +62,39 @@ class ModelZoo {
   double PretrainAccuracy(size_t model) const;
 
   // --- Dataset representations & similarity ---
-  // Memoized accessors below are thread-safe: scores are deterministic per
-  // key, so concurrent misses may compute redundantly but always agree, and
-  // the first inserted value wins (parallel leave-one-out targets hit these
-  // caches concurrently; see docs/threading.md).
+  // Memoized and thread-safe; every value is a pure function of its key. A
+  // Fill* call computes the missing keys outside the lock (FillScores in one
+  // ParallelFor) and publishes them in key order, first insert winning, so
+  // the caches hold the same bits at any thread count (docs/threading.md).
   const std::vector<double>& DatasetEmbedding(size_t dataset,
                                               DatasetRepresentation repr);
+  void FillDatasetEmbeddings(const std::vector<size_t>& datasets,
+                             DatasetRepresentation repr);
   double DatasetSimilarityScore(size_t a, size_t b,
                                 DatasetRepresentation repr);
 
-  // --- Transferability scores (cached per pair) ---
-  double LogMe(size_t model, size_t dataset);
-  double Leep(size_t model, size_t dataset);
-  double Nce(size_t model, size_t dataset);
-  double Parc(size_t model, size_t dataset);
-  double HScoreOf(size_t model, size_t dataset);
+  // --- Transferability scores: one table keyed by (estimator, pair) ---
+  // Reads one score, computing it first on a miss.
+  double Score(Estimator estimator, size_t model, size_t dataset);
+  // Computes every missing score of `estimator` over models x datasets.
+  void FillScores(Estimator estimator, const std::vector<size_t>& models,
+                  const std::vector<size_t>& datasets);
+  double LogMe(size_t model, size_t dataset) {
+    return Score(Estimator::kLogMe, model, dataset);
+  }
 
   SyntheticWorld& world() { return *world_; }
   const FineTuneSimulator& simulator() const { return *simulator_; }
 
  private:
-  uint64_t PairKey(size_t model, size_t dataset) const {
-    return (static_cast<uint64_t>(model) << 32) |
-           static_cast<uint64_t>(dataset);
+  static constexpr uint64_t kIndexMask = (uint64_t{1} << 24) - 1;
+  static uint64_t ScoreKey(Estimator estimator, size_t model,
+                           size_t dataset) {
+    return (static_cast<uint64_t>(estimator) << 48) | (model << 24) | dataset;
   }
+  std::vector<double> ComputeDatasetEmbedding(size_t dataset,
+                                              DatasetRepresentation repr);
+  double ComputeScore(Estimator estimator, size_t model, size_t dataset);
 
   ModelZooConfig config_;
   Catalog catalog_;
@@ -93,13 +105,8 @@ class ModelZoo {
   // Guards every memoization map below. References into the maps stay valid
   // under concurrent insertion (unordered_map never moves elements).
   std::mutex cache_mu_;
-  std::unordered_map<size_t, std::vector<double>> domain_embeddings_;
-  std::unordered_map<size_t, std::vector<double>> task2vec_embeddings_;
-  std::unordered_map<uint64_t, double> logme_cache_;
-  std::unordered_map<uint64_t, double> leep_cache_;
-  std::unordered_map<uint64_t, double> nce_cache_;
-  std::unordered_map<uint64_t, double> parc_cache_;
-  std::unordered_map<uint64_t, double> hscore_cache_;
+  std::unordered_map<size_t, std::vector<double>> embeddings_[2];  // by repr
+  std::unordered_map<uint64_t, double> scores_;  // keyed by ScoreKey
 };
 
 }  // namespace tg::zoo

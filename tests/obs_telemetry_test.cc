@@ -500,5 +500,20 @@ TEST_F(ObsTelemetryDeathTest, MalformedEventLogKnobsAreHardErrors) {
   unsetenv("TG_EVENT_LOG");
 }
 
+// TG_TELEMETRY_PORT follows the TG_THREADS policy: a set value that is not
+// a port in [0, 65535] exits 1 naming it instead of running without
+// telemetry. Only a failed bind still degrades.
+TEST_F(ObsTelemetryDeathTest, MalformedPortEnvIsHardError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"abc", "-1", "65536", "80x", " 80"}) {
+    ASSERT_EQ(setenv("TG_TELEMETRY_PORT", bad, 1), 0);
+    EXPECT_EXIT(obs::MaybeStartTelemetryFromEnv(),
+                ::testing::ExitedWithCode(1),
+                std::string("TG_TELEMETRY_PORT=") + bad + ": expected a port")
+        << bad;
+  }
+  unsetenv("TG_TELEMETRY_PORT");
+}
+
 }  // namespace
 }  // namespace tg

@@ -278,14 +278,16 @@ TEST_F(ObsTest, JsonHelpers) {
 // The determinism contract from docs/observability.md: enabling tracing and
 // metrics must not perturb pipeline numerics. Two pipelines over the same
 // zoo (fresh embedding caches each) must agree bit-for-bit.
-TEST_F(ObsTest, PipelineOutputsIdenticalWithTracingOnOrOff) {
+zoo::ModelZooConfig SmallZooConfig() {
   zoo::ModelZooConfig zoo_config;
   zoo_config.catalog.num_image_models = 48;
   zoo_config.catalog.num_text_models = 24;
   zoo_config.world.max_samples_per_dataset = 80;
-  zoo::ModelZoo zoo(zoo_config);
-  const size_t target = zoo.EvaluationTargets(zoo::Modality::kImage)[0];
+  return zoo_config;
+}
 
+// Cheap Node2Vec graph features, so queries build graphs.
+core::PipelineConfig SmallN2vConfig() {
   core::PipelineConfig config;
   config.strategy = {core::PredictorKind::kLinearRegression,
                      core::GraphLearner::kNode2Vec, core::FeatureSet::kAll};
@@ -293,6 +295,13 @@ TEST_F(ObsTest, PipelineOutputsIdenticalWithTracingOnOrOff) {
   config.node2vec.walk.walk_length = 15;
   config.node2vec.skipgram.dim = 24;
   config.node2vec.skipgram.epochs = 2;
+  return config;
+}
+
+TEST_F(ObsTest, PipelineOutputsIdenticalWithTracingOnOrOff) {
+  zoo::ModelZoo zoo(SmallZooConfig());
+  const size_t target = zoo.EvaluationTargets(zoo::Modality::kImage)[0];
+  const core::PipelineConfig config = SmallN2vConfig();
 
   core::Pipeline quiet_pipeline(&zoo, zoo::Modality::kImage);
   const core::TargetEvaluation quiet =
@@ -314,6 +323,41 @@ TEST_F(ObsTest, PipelineOutputsIdenticalWithTracingOnOrOff) {
   const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
   EXPECT_FALSE(SpansNamed(spans, "evaluate_target").empty());
   EXPECT_FALSE(SpansNamed(spans, "walk_corpus").empty());
+
+  // graph_build's children name where the cold path's time goes.
+  const auto builds = SpansNamed(spans, "graph_build");
+  ASSERT_EQ(builds.size(), 1u);
+  for (const char* child :
+       {"dataset_embeddings", "score_fill", "dd_similarity"}) {
+    const auto found = SpansNamed(spans, child);
+    ASSERT_EQ(found.size(), 1u) << child;
+    EXPECT_EQ(found[0].parent, builds[0].id) << child;
+  }
+}
+
+// A sweep driver fills the zoo's caches once, under its own span, before it
+// fans out; the fill's spans nest under that pre-fill span.
+TEST_F(ObsTest, SweepPrefillSpanNestsUnderTheDriver) {
+  zoo::ModelZoo zoo(SmallZooConfig());
+  obs::SetTraceEnabled(true);
+  core::Pipeline pipeline(&zoo, zoo::Modality::kImage);
+  pipeline.EvaluateAllTargets(SmallN2vConfig());
+  obs::SetTraceEnabled(false);
+
+  const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
+  const auto drivers = SpansNamed(spans, "evaluate_all_targets");
+  const auto prefills = SpansNamed(spans, "sweep_prefill");
+  ASSERT_EQ(drivers.size(), 1u);
+  ASSERT_EQ(prefills.size(), 1u);
+  EXPECT_EQ(prefills[0].parent, drivers[0].id);
+  for (const char* child : {"dataset_embeddings", "score_fill"}) {
+    const auto found = SpansNamed(spans, child);
+    EXPECT_TRUE(std::any_of(found.begin(), found.end(),
+                            [&](const obs::SpanRecord& s) {
+                              return s.parent == prefills[0].id;
+                            }))
+        << child << " has no span under sweep_prefill";
+  }
 }
 
 }  // namespace

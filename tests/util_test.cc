@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 
 #include "util/backoff.h"
 #include "util/csv.h"
+#include "util/env.h"
 #include "util/json_util.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -374,6 +376,33 @@ TEST(BackoffTest, ResetRestartsTheSequence) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_DOUBLE_EQ(backoff.NextDelaySec(), first[static_cast<size_t>(i)]);
   }
+}
+
+// --- Boolean environment knobs ---
+
+TEST(EnvFlagTest, UnsetEmptyZeroAreOffAndOneIsOn) {
+  unsetenv("TG_TEST_BOOL_KNOB");
+  EXPECT_FALSE(EnvFlag("TG_TEST_BOOL_KNOB"));
+  for (const char* off : {"", "0"}) {
+    ASSERT_EQ(setenv("TG_TEST_BOOL_KNOB", off, 1), 0);
+    EXPECT_FALSE(EnvFlag("TG_TEST_BOOL_KNOB")) << '"' << off << '"';
+  }
+  ASSERT_EQ(setenv("TG_TEST_BOOL_KNOB", "1", 1), 0);
+  EXPECT_TRUE(EnvFlag("TG_TEST_BOOL_KNOB"));
+  unsetenv("TG_TEST_BOOL_KNOB");
+}
+
+// Any other value exits 1 naming the variable and the value, so
+// `TG_TRACE=false` can never switch tracing on.
+TEST(EnvFlagDeathTest, AnyOtherValueIsHardError) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* bad : {"false", "true", "yes", "on", "2", "01", "1x"}) {
+    ASSERT_EQ(setenv("TG_TEST_BOOL_KNOB", bad, 1), 0);
+    EXPECT_EXIT(EnvFlag("TG_TEST_BOOL_KNOB"), ::testing::ExitedWithCode(1),
+                std::string("TG_TEST_BOOL_KNOB=") + bad + ": expected 0 or 1")
+        << bad;
+  }
+  unsetenv("TG_TEST_BOOL_KNOB");
 }
 
 }  // namespace

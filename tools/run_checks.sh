@@ -9,12 +9,14 @@
 # skipgram_sharded/random_forest_fit stage ratios, absolute
 # random_forest_fit and gbdt_fit wall-time ceilings, and hardware-counter
 # ratio gates), a knob-strictness gate (hard-error checks for TG_THREADS,
-# TG_EVENT_LOG_RATE, a malformed TG_FAULT, a malformed --models flag and an
-# unknown tg_cli flag) with a random-forest rank smoke under ASan, a
-# distributed-sweep chaos gate
-# (three workers sharing a workdir with one kill -9'd mid-run: the
-# survivors must reclaim the expired lease and sweep-merge must emit an
-# artifact byte-identical to a serial sweep under TG_THREADS=1 and =4,
+# TG_TRACE=yes, TG_TELEMETRY_PORT, TG_EVENT_LOG_RATE, a malformed TG_FAULT,
+# a malformed --models flag and an unknown tg_cli flag) with a
+# random-forest rank smoke under ASan, a distributed-sweep chaos gate
+# (the serial checkpointed sweep must be byte-identical at TG_THREADS=1
+# and the default thread count; three workers sharing a workdir with one
+# kill -9'd mid-run: the survivors must reclaim the expired lease and
+# sweep-merge must emit an artifact byte-identical to that serial sweep
+# under TG_THREADS=1 and =4,
 # plus an ASan pass of the claim/lease/merge protocol with injected
 # claim.rename and merge.read faults), an
 # end-to-end smoke check of the tg_cli observability path
@@ -250,6 +252,15 @@ DIST_FLAGS="--modality image --models 48 \
 # shellcheck disable=SC2086  # DIST_FLAGS is a deliberate word list
 ./build-release/tools/tg_cli sweep $DIST_FLAGS \
     --checkpoint "$DIST_DIR/serial.json" > /dev/null
+# The serial sweep itself is thread-count invariant: the default-thread
+# artifact above equals a 1-thread one byte for byte.
+# shellcheck disable=SC2086
+TG_THREADS=1 ./build-release/tools/tg_cli sweep $DIST_FLAGS \
+    --checkpoint "$DIST_DIR/serial.t1.json" > /dev/null
+cmp "$DIST_DIR/serial.json" "$DIST_DIR/serial.t1.json" || {
+  echo "serial sweep at TG_THREADS=1 differs from the default thread count" >&2
+  exit 1
+}
 for T in 1 4; do
   WD="$DIST_DIR/wd$T"
   WORKER_PIDS=()
@@ -330,6 +341,17 @@ section "knob strictness gate + random-forest smoke under ASan"
 # a silent fallback and never an uncaught-exception abort (exit 134).
 if TG_THREADS=abc ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
   echo "TG_THREADS=abc must fail hard, not fall back" >&2
+  exit 1
+fi
+# Boolean knobs take only 0 or 1 (unset and empty are off): TG_TRACE=yes
+# is an error, never a guess.
+if TG_TRACE=yes ./build-release/tools/tg_cli backend >/dev/null 2>&1; then
+  echo "TG_TRACE=yes must fail hard, not guess on or off" >&2
+  exit 1
+fi
+if TG_TELEMETRY_PORT=abc ./build-release/tools/tg_cli backend \
+    >/dev/null 2>&1; then
+  echo "TG_TELEMETRY_PORT=abc must fail hard, not run without telemetry" >&2
   exit 1
 fi
 EVENT_LOG_OUT="$(mktemp /tmp/tg_events.XXXXXX.jsonl)"
