@@ -25,7 +25,6 @@
 #include "util/build_info.h"
 #include "util/fault.h"
 #include "util/json_util.h"
-#include "util/logging.h"
 
 namespace tg::core {
 namespace {
@@ -722,72 +721,47 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
                  std::to_string(targets.size()) + " targets, workdir " +
                      workdir);
 
-  // Mirrors EvaluateAllTargetsResumable's run_target: one degraded retry,
-  // then publish. Returns true iff the target is resolved (shard or failed
-  // marker on disk) afterwards.
+  // Publishes one resolution file of target k with bounded retries. A thief
+  // that published the (bit-identical) duplicate first can make our rename
+  // fail; the file being on disk is what matters.
+  auto publish = [&](size_t k, const std::string& path,
+                     const auto& write) -> Status {
+    BackoffPolicy write_policy = options.backoff;
+    write_policy.seed ^= worker_hash ^ (k * 0x9e3779b97f4a7c15ull);
+    Backoff write_backoff(write_policy);
+    Status published;
+    for (int attempt = 0; attempt < kShardWriteAttempts; ++attempt) {
+      published = write();
+      if (published.ok() || PathExists(path)) return Status::OK();
+      write_backoff.SleepNext();
+    }
+    return published;
+  };
+
+  // One sweep cell (the in-process driver's per-target step, failure policy
+  // included), then publish. Returns true iff the target is resolved (shard
+  // or failed marker on disk) afterwards.
   auto run_one = [&](size_t k) -> bool {
-    const size_t dataset = targets[k];
-    const std::string& name = zoo->datasets()[dataset].name;
+    const std::string& name = zoo->datasets()[targets[k]].name;
     const std::string lease_path = SweepLeasePath(workdir, k, worker);
     update_renewer(lease_path, static_cast<long>(k));
     obs::EmitEvent("worker_target_begin", worker, name);
 
-    TargetEvaluation eval;
-    std::string error;
-    int retries = 0;
-    bool degraded = false;
-    bool ok = pipeline->TryEvaluateTarget(config, dataset, &eval, &error);
-    if (!ok && options.degrade_on_failure) {
-      ++retries;
-      ++report.retried;
-      obs::EmitEvent("worker_target_retry", worker, name + ": " + error);
-      // Same deterministic pause-then-fallback as the resumable sweep, so a
-      // distributed worker's degraded results are bit-identical to a serial
-      // run's.
-      BackoffPolicy retry_backoff;
-      retry_backoff.initial_sec = 0.005;
-      retry_backoff.max_sec = 0.05;
-      retry_backoff.seed = config.seed ^ dataset;
-      Backoff(retry_backoff).SleepNext();
-      const PipelineConfig fallback = DegradedFallbackConfig(config);
-      std::string retry_error;
-      ok = pipeline->TryEvaluateTarget(fallback, dataset, &eval, &retry_error);
-      if (ok) {
-        degraded = true;
-        ++report.degraded;
-      } else {
-        error += "; degraded retry: " + retry_error;
-      }
-    }
-
-    BackoffPolicy write_policy = options.backoff;
-    write_policy.seed ^= worker_hash ^ (k * 0x9e3779b97f4a7c15ull);
-    Backoff write_backoff(write_policy);
+    const TargetEvaluation eval = pipeline->EvaluateTargetForSweep(
+        config, targets[k], options.degrade_on_failure);
+    if (eval.retries > 0) ++report.retried;
+    if (eval.degraded) ++report.degraded;
     bool resolved = false;
-    if (ok) {
-      eval.retries = retries;
-      eval.degraded = degraded;
-      Status published;
-      bool on_disk = false;
-      for (int attempt = 0; attempt < kShardWriteAttempts; ++attempt) {
-        published = WriteSweepShard(workdir, k, fingerprint, eval);
-        if (published.ok()) {
-          on_disk = true;
-          break;
-        }
-        // A thief that published the (bit-identical) duplicate first can
-        // make our rename fail; the shard being on disk is what matters.
-        if (PathExists(SweepShardPath(workdir, k))) {
-          on_disk = true;
-          break;
-        }
-        write_backoff.SleepNext();
-      }
-      if (on_disk) {
+    if (!eval.failed) {
+      const Status published =
+          publish(k, SweepShardPath(workdir, k), [&] {
+            return WriteSweepShard(workdir, k, fingerprint, eval);
+          });
+      if (published.ok()) {
         ++report.evaluated;
         resolved = true;
         obs::EmitEvent("worker_shard", worker,
-                       name + (degraded ? " (degraded)" : ""));
+                       name + (eval.degraded ? " (degraded)" : ""));
         // Publish-then-unlink: at every instant the target shows as leased
         // or completed, never unowned-and-unfinished. ENOENT just means the
         // lease was stolen mid-flight; the duplicate shard was identical.
@@ -802,26 +776,17 @@ Result<WorkerReport> RunSweepWorker(Pipeline* pipeline,
       }
     } else {
       ++report.failed;
-      report.errors.push_back(name + ": " + error);
-      TG_LOG(Warning) << "worker " << worker << " target " << name
-                      << " failed: " << error;
-      Status published;
-      bool on_disk = false;
-      for (int attempt = 0; attempt < kShardWriteAttempts; ++attempt) {
-        published = WriteSweepFailedMarker(workdir, k, fingerprint, error);
-        if (published.ok() || PathExists(SweepFailedMarkerPath(workdir, k))) {
-          on_disk = true;
-          break;
-        }
-        write_backoff.SleepNext();
-      }
-      if (on_disk) {
-        resolved = true;
+      report.errors.push_back(name + ": " + eval.error);
+      resolved = publish(k, SweepFailedMarkerPath(workdir, k), [&] {
+                   return WriteSweepFailedMarker(workdir, k, fingerprint,
+                                                 eval.error);
+                 }).ok();
+      if (resolved) {
         std::remove(lease_path.c_str());
       } else {
         (void)ReleaseLeaseToFree(workdir, k, worker);
       }
-      obs::EmitEvent("worker_target_failed", worker, name + ": " + error);
+      obs::EmitEvent("worker_target_failed", worker, name + ": " + eval.error);
     }
     update_renewer("", -1);
     claims_gauge.Set(static_cast<double>(report.claims));

@@ -51,8 +51,8 @@ struct DistributedSweepOptions {
   // A lease whose mtime is older than this is considered abandoned (owner
   // crashed or stalled) and may be stolen by any live worker.
   double lease_sec = 30.0;
-  // Failed targets get one retry with DegradedFallbackConfig, matching
-  // EvaluateAllTargetsResumable semantics.
+  // Failed targets get one degraded retry: the same per-target step
+  // (Pipeline::EvaluateTargetForSweep) as EvaluateAllTargetsResumable.
   bool degrade_on_failure = true;
   // Retry/backoff policy for claim races and transient I/O faults. The seed
   // is XORed with a hash of worker_id so concurrent workers de-synchronize

@@ -1,5 +1,7 @@
 #include "core/evaluation.h"
 
+#include <stdexcept>
+
 #include "numeric/stats.h"
 
 namespace tg::core {
@@ -20,8 +22,14 @@ StrategySummary Summarize(const std::string& name,
 
 StrategySummary EvaluateStrategy(Pipeline* pipeline,
                                  const PipelineConfig& config) {
-  return Summarize(config.strategy.DisplayName(),
-                   pipeline->EvaluateAllTargets(config));
+  SweepOptions options;
+  options.degrade_on_failure = false;
+  SweepResult result = pipeline->EvaluateAllTargetsResumable(config, options);
+  if (!result.complete) {
+    throw std::runtime_error(result.errors.empty() ? "sweep drained"
+                                                   : result.errors.front());
+  }
+  return Summarize(config.strategy.DisplayName(), result.evaluations);
 }
 
 }  // namespace tg::core

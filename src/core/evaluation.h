@@ -20,7 +20,10 @@ struct StrategySummary {
   double mean_spearman = 0.0;
 };
 
-// Full leave-one-out sweep of one strategy.
+// Full leave-one-out sweep of one strategy, with no degraded retry: a
+// target that fails (an exception, non-finite predictions) or a drained
+// sweep throws std::runtime_error naming the first failure, so a figure is
+// never built from a silently degraded target.
 StrategySummary EvaluateStrategy(Pipeline* pipeline,
                                  const PipelineConfig& config);
 

@@ -105,13 +105,6 @@ void RequestSweepDrain();
 bool SweepDrainRequested();
 void ClearSweepDrain();  // tests / repeated sweeps within one process
 
-// The smallest strategy that still yields a ranking for every model:
-// metadata-only features need no graph, no embedding training, and no
-// dataset representations. Both the resumable sweep's once-degraded retry
-// and the distributed worker's fallback use exactly this transform so their
-// degraded results are bit-identical.
-PipelineConfig DegradedFallbackConfig(const PipelineConfig& config);
-
 class Pipeline {
  public:
   // The zoo must outlive the pipeline. One pipeline per modality.
@@ -122,27 +115,35 @@ class Pipeline {
   TargetEvaluation EvaluateTarget(const PipelineConfig& config,
                                   size_t target_dataset);
 
-  // Evaluates every evaluation-target dataset of the modality, in parallel
-  // across the global thread pool (TG_THREADS). Bit-identical results for
-  // any thread count given a fixed config seed. Both sweep drivers fill the
-  // zoo caches the targets' graphs read once, before they fan out.
-  std::vector<TargetEvaluation> EvaluateAllTargets(
-      const PipelineConfig& config);
-
-  // EvaluateAllTargets with graceful degradation and optional resume: a
-  // target that throws (I/O fault, predictor failure, non-finite
-  // predictions) is retried once with the degraded strategy instead of
-  // taking the sweep down; with a checkpoint path, completed targets are
-  // persisted after each finish and skipped on restart. Resumed sweeps are
-  // bit-identical to uninterrupted ones (asserted by
-  // tests/chaos_pipeline_test.cc). See docs/robustness.md.
+  // The one in-process sweep driver: evaluates every evaluation-target
+  // dataset of the modality, in parallel across the global thread pool
+  // (TG_THREADS), after filling the zoo caches the targets' graphs read
+  // once. Bit-identical results for any thread count given a fixed config
+  // seed. Each target runs EvaluateTargetForSweep, so a target that throws
+  // (I/O fault, predictor failure, non-finite predictions) is retried once
+  // with the degraded strategy instead of taking the sweep down; with a
+  // checkpoint path, completed targets are persisted after each finish and
+  // skipped on restart. Resumed sweeps are bit-identical to uninterrupted
+  // ones (asserted by tests/chaos_pipeline_test.cc). See
+  // docs/robustness.md.
   SweepResult EvaluateAllTargetsResumable(const PipelineConfig& config,
                                           const SweepOptions& options);
 
+  // One sweep cell, shared by EvaluateAllTargetsResumable and the
+  // distributed worker (core/distributed_sweep.h) so their results --
+  // degraded ones included -- are bit-identical. Runs TryEvaluateTarget;
+  // on failure, and when degrade_on_failure, pauses 5-50 ms (deterministic
+  // under config.seed and the target) and retries once with metadata-only
+  // features and no graph learner. The result carries retries/degraded,
+  // or failed=true plus the error when no attempt succeeded. Counts
+  // pipeline.target_retries/_degraded/_failures and emits
+  // sweep.target_retry.
+  TargetEvaluation EvaluateTargetForSweep(const PipelineConfig& config,
+                                          size_t target_dataset,
+                                          bool degrade_on_failure);
+
   // EvaluateTarget with every failure mode (exceptions, injected faults,
   // non-finite predictions) converted into a false return plus error text.
-  // Public so the distributed sweep worker (core/distributed_sweep.h) gets
-  // exactly the resumable sweep's per-target semantics.
   bool TryEvaluateTarget(const PipelineConfig& config, size_t target_dataset,
                          TargetEvaluation* out, std::string* error);
 

@@ -1,6 +1,7 @@
 #include "core/sweep_checkpoint.h"
 
 #include <cmath>
+#include <limits>
 
 #include "numeric/stats.h"
 #include "util/atomic_file.h"
@@ -30,11 +31,9 @@ Status BadCheckpoint(const std::string& path, const std::string& why) {
   return Status::InvalidArgument("checkpoint " + path + ": " + why);
 }
 
-// Reads a JSON array of numbers into `out`, requiring every element finite
-// when `finite` (scores and indices must be; NaN would poison correlations
-// silently).
-bool ReadDoubleArray(const JsonValue* value, bool finite,
-                     std::vector<double>* out) {
+// Reads a JSON array of finite numbers into `out` (scores must be finite;
+// NaN would poison correlations silently).
+bool ReadDoubleArray(const JsonValue* value, std::vector<double>* out) {
   if (value == nullptr || !value->is_array()) return false;
   out->clear();
   out->reserve(value->size());
@@ -42,9 +41,22 @@ bool ReadDoubleArray(const JsonValue* value, bool finite,
     const JsonValue& element = value->at(i);
     if (!element.is_number()) return false;
     const double v = element.AsDouble();
-    if (finite && !std::isfinite(v)) return false;
+    if (!std::isfinite(v)) return false;
     out->push_back(v);
   }
+  return true;
+}
+
+// Reads a JSON number that is a whole number a T can hold. Checked before
+// the cast: converting an out-of-range double to an integer is undefined.
+template <typename T>
+bool ReadWholeNumber(const JsonValue& value, T* out) {
+  if (!value.is_number()) return false;
+  const double v = value.AsDouble();
+  // 2^digits is the first whole number past T's range, and exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= 0.0 && v < limit && v == std::floor(v))) return false;
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -162,12 +174,10 @@ Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   }
   TargetEvaluation eval;
   const JsonValue* dataset = entry.Find("target_dataset");
-  if (dataset == nullptr || !dataset->is_number() ||
-      dataset->AsDouble() < 0.0 ||
-      dataset->AsDouble() != std::floor(dataset->AsDouble())) {
+  if (dataset == nullptr ||
+      !ReadWholeNumber(*dataset, &eval.target_dataset)) {
     return Status::InvalidArgument("bad target_dataset");
   }
-  eval.target_dataset = static_cast<size_t>(dataset->AsDouble());
   const JsonValue* name = entry.Find("target_name");
   if (name == nullptr || !name->is_string() || name->AsString().empty()) {
     return Status::InvalidArgument("bad target_name");
@@ -175,26 +185,25 @@ Result<TargetEvaluation> ParseTargetEvaluationJson(const JsonValue& entry) {
   eval.target_name = name->AsString();
   if (const JsonValue* degraded = entry.Find("degraded");
       degraded != nullptr) {
+    if (!degraded->is_bool()) return Status::InvalidArgument("bad degraded");
     eval.degraded = degraded->AsBool();
   }
-  if (const JsonValue* retries = entry.Find("retries"); retries != nullptr) {
-    eval.retries = static_cast<int>(retries->AsDouble());
+  if (const JsonValue* retries = entry.Find("retries");
+      retries != nullptr && !ReadWholeNumber(*retries, &eval.retries)) {
+    return Status::InvalidArgument("bad retries");
   }
-  std::vector<double> indices;
-  if (!ReadDoubleArray(entry.Find("model_indices"), /*finite=*/true,
-                       &indices)) {
+  const JsonValue* indices = entry.Find("model_indices");
+  if (indices == nullptr || !indices->is_array()) {
     return Status::InvalidArgument("bad model_indices");
   }
-  eval.model_indices.reserve(indices.size());
-  for (double v : indices) {
-    if (v < 0.0 || v != std::floor(v)) {
+  eval.model_indices.resize(indices->size());
+  for (size_t i = 0; i < indices->size(); ++i) {
+    if (!ReadWholeNumber(indices->at(i), &eval.model_indices[i])) {
       return Status::InvalidArgument("bad model index");
     }
-    eval.model_indices.push_back(static_cast<size_t>(v));
   }
-  if (!ReadDoubleArray(entry.Find("predicted"), /*finite=*/true,
-                       &eval.predicted) ||
-      !ReadDoubleArray(entry.Find("actual"), /*finite=*/true, &eval.actual)) {
+  if (!ReadDoubleArray(entry.Find("predicted"), &eval.predicted) ||
+      !ReadDoubleArray(entry.Find("actual"), &eval.actual)) {
     return Status::InvalidArgument("bad score arrays");
   }
   if (eval.predicted.size() != eval.model_indices.size() ||

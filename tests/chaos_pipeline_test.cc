@@ -4,13 +4,17 @@
 // fault-free rerun after chaos must reproduce the reference exactly.
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "core/sweep_checkpoint.h"
+#include "serial_sweep.h"
 #include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -73,10 +77,10 @@ class ChaosPipelineTest : public ::testing::Test {
   std::unique_ptr<Pipeline> pipeline_;
 };
 
-TEST_F(ChaosPipelineTest, ResumableWithDefaultsMatchesEvaluateAllTargets) {
+TEST_F(ChaosPipelineTest, ResumableWithDefaultsMatchesSerialLoop) {
   const PipelineConfig config = FastConfig();
   const std::vector<TargetEvaluation> plain =
-      pipeline_->EvaluateAllTargets(config);
+      SerialSweep(pipeline_.get(), config);
   const SweepResult resumable =
       pipeline_->EvaluateAllTargetsResumable(config, SweepOptions{});
   EXPECT_TRUE(resumable.complete);
@@ -107,12 +111,59 @@ TEST_F(ChaosPipelineTest, CheckpointRoundTripsEvaluations) {
   EXPECT_FALSE(LoadSweepCheckpoint(path).ok());
   ASSERT_TRUE(WriteFileAtomic(path, "{torn").ok());
   EXPECT_FALSE(LoadSweepCheckpoint(path).ok());
+
+  // Checkpoints (and shards) come from outside the program: a field of the
+  // wrong type, a negative count, or a number no integer field can hold is
+  // rejected before any cast.
+  const TargetEvaluation& first = reference.evaluations[0];
+  std::string entry;
+  AppendTargetEvaluationJson(first, &entry);
+  const std::string dataset_field =
+      "\"target_dataset\":" + std::to_string(first.target_dataset);
+  const std::string indices_field =
+      "\"model_indices\":[" + std::to_string(first.model_indices[0]);
+  const std::pair<std::string, std::string> corruptions[] = {
+      {"\"degraded\":false", "\"degraded\":\"yes\""},
+      {"\"retries\":0", "\"retries\":-3"},
+      {"\"retries\":0", "\"retries\":\"x\""},
+      {"\"retries\":0", "\"retries\":1e300"},
+      {"\"retries\":0", "\"retries\":2147483648"},
+      {dataset_field, "\"target_dataset\":1e300"},
+      {dataset_field, "\"target_dataset\":18446744073709551616"},
+      {indices_field, "\"model_indices\":[1e300"},
+      {indices_field, "\"model_indices\":[-1"},
+  };
+  for (const auto& [field, bad] : corruptions) {
+    std::string corrupted = entry;
+    const size_t at = corrupted.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    corrupted.replace(at, field.size(), bad);
+    ASSERT_TRUE(WriteFileAtomic(path,
+                                "{\"schema\":1,\"targets\":[" + corrupted +
+                                    "]}")
+                    .ok());
+    Result<SweepCheckpoint> rejected = LoadSweepCheckpoint(path);
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST_F(ChaosPipelineTest, EvaluateStrategyFailsInsteadOfDegrading) {
+  const PipelineConfig config = FastConfig();
+  ASSERT_TRUE(fault::InstallSpec("pipeline.target=hit:1").ok());
+  EXPECT_THROW(EvaluateStrategy(pipeline_.get(), config), std::runtime_error);
+  fault::ClearFaults();
+  const StrategySummary summary = EvaluateStrategy(pipeline_.get(), config);
+  const StrategySummary serial =
+      Summarize(config.strategy.DisplayName(),
+                SerialSweep(pipeline_.get(), config));
+  EXPECT_EQ(summary.per_target_pearson, serial.per_target_pearson);
 }
 
 TEST_F(ChaosPipelineTest, ResumeIsBitIdenticalAcrossThreadCounts) {
   const PipelineConfig config = FastConfig();
   const std::vector<TargetEvaluation> reference =
-      pipeline_->EvaluateAllTargets(config);
+      SerialSweep(pipeline_.get(), config);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
     SetThreadCount(threads);
@@ -187,7 +238,7 @@ TEST_F(ChaosPipelineTest, DegradedRetryKeepsSweepComplete) {
 TEST_F(ChaosPipelineTest, RandomizedChaosSchedulesNeverCrashOrTear) {
   const PipelineConfig config = FastConfig();
   const std::vector<TargetEvaluation> reference =
-      pipeline_->EvaluateAllTargets(config);
+      SerialSweep(pipeline_.get(), config);
   const std::string path = TempPath("checkpoint_chaos.json");
 
   // Deterministic "randomized" schedules: seeded probability rules across

@@ -133,13 +133,11 @@ TEST_F(PipelineTest, TopKMeanAccuracy) {
               1e-12);
 }
 
-TEST_F(PipelineTest, EvaluateAllTargetsCoversEvaluationSet) {
+TEST_F(PipelineTest, EvaluateStrategyCoversEvaluationSet) {
   Strategy lr{PredictorKind::kLinearRegression, GraphLearner::kNone,
               FeatureSet::kMetadataOnly};
-  std::vector<TargetEvaluation> evals =
-      pipeline_->EvaluateAllTargets(FastConfig(lr));
-  EXPECT_EQ(evals.size(), 8u);
-  StrategySummary summary = Summarize("LR", evals);
+  StrategySummary summary = EvaluateStrategy(pipeline_.get(), FastConfig(lr));
+  EXPECT_EQ(summary.target_names.size(), 8u);
   EXPECT_EQ(summary.per_target_pearson.size(), 8u);
   EXPECT_TRUE(std::isfinite(summary.mean_pearson));
 }

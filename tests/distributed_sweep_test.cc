@@ -426,6 +426,53 @@ TEST_F(DistributedSweepTest, SingleWorkerMergesBitIdenticalToSerial) {
   EXPECT_EQ(ReadAll(merged), ReadAll(serial));
 }
 
+// Both drivers run one per-target step, failure policy included: a target
+// whose first attempt fails is retried degraded, and the degraded result is
+// byte-identical whichever driver produced it. LogME features make the
+// degraded (metadata-only) result differ from the full one.
+TEST_F(DistributedSweepTest, DegradedResultsMatchAcrossDrivers) {
+  SetThreadCount(1);
+  PipelineConfig config = FastConfig();
+  config.strategy.features = FeatureSet::kAllWithLogMe;
+
+  const std::string serial = TempPath("ds_degraded_serial.json");
+  std::remove(serial.c_str());
+  SweepOptions serial_options;
+  serial_options.checkpoint_path = serial;
+  ASSERT_TRUE(fault::InstallSpec("pipeline.target=hit:1").ok());
+  const SweepResult swept =
+      pipeline_->EvaluateAllTargetsResumable(config, serial_options);
+  fault::ClearFaults();
+  ASSERT_TRUE(swept.complete);
+  EXPECT_TRUE(swept.evaluations[0].degraded);
+  EXPECT_EQ(swept.evaluations[0].retries, 1);
+  EXPECT_EQ(swept.degraded, 1u);
+
+  const std::string workdir = TempPath("ds_degraded");
+  RemoveTree(workdir);
+  ASSERT_TRUE(fault::InstallSpec("pipeline.target=hit:1").ok());
+  Result<WorkerReport> ran = RunSweepWorker(pipeline_.get(), config,
+                                            WorkerOptions(workdir, "w0"));
+  fault::ClearFaults();
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_TRUE(ran.value().complete);
+  EXPECT_EQ(ran.value().retried, 1u);
+  EXPECT_EQ(ran.value().degraded, 1u);
+  Result<TargetEvaluation> shard = ReadSweepShard(
+      workdir, 0, SweepFingerprint(config, zoo::Modality::kImage));
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  EXPECT_TRUE(shard.value().degraded);
+  EXPECT_EQ(shard.value().retries, 1);
+
+  const std::string merged = TempPath("ds_degraded_merged.json");
+  std::remove(merged.c_str());
+  Result<MergeReport> merge =
+      MergeSweepShards(pipeline_.get(), config, workdir, merged);
+  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
+  ASSERT_TRUE(merge.value().ok()) << merge.value().problems[0];
+  EXPECT_EQ(ReadAll(merged), ReadAll(serial));
+}
+
 TEST_F(DistributedSweepTest, TwoConcurrentWorkersPartitionAndMergeIdentical) {
   const std::string serial = SerialCheckpoint("ds_serial_ref2.json");
   const std::string workdir = FreshWorkdir("ds_pair", nullptr);

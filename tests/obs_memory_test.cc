@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 #include "obs/trace.h"
+#include "serial_sweep.h"
 #include "util/build_info.h"
 #include "util/json_util.h"
 #include "util/thread_pool.h"
@@ -151,7 +152,8 @@ TEST_F(ObsMemoryTest, ConcurrentTrackingSumsAcrossThreads) {
 }
 
 // The determinism contract: allocation accounting must not perturb pipeline
-// numerics. EvaluateAllTargets exercises the parallel leave-one-out sweep.
+// numerics. The sweep driver exercises the parallel leave-one-out sweep,
+// against a serial EvaluateTarget loop with tracking off.
 TEST_F(ObsMemoryTest, PipelineOutputsIdenticalWithTrackingOnOrOff) {
   zoo::ModelZooConfig zoo_config;
   zoo_config.catalog.num_image_models = 32;
@@ -169,14 +171,16 @@ TEST_F(ObsMemoryTest, PipelineOutputsIdenticalWithTrackingOnOrOff) {
 
   core::Pipeline quiet_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> quiet =
-      quiet_pipeline.EvaluateAllTargets(config);
+      core::SerialSweep(&quiet_pipeline, config);
 
   obs::SetMemoryTrackingEnabled(true);
   obs::SetTraceEnabled(true);
   obs::SetMetricsEnabled(true);
   core::Pipeline tracked_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> tracked =
-      tracked_pipeline.EvaluateAllTargets(config);
+      tracked_pipeline
+          .EvaluateAllTargetsResumable(config, core::SweepOptions{})
+          .evaluations;
 
   ASSERT_EQ(tracked.size(), quiet.size());
   for (size_t t = 0; t < quiet.size(); ++t) {

@@ -22,6 +22,7 @@
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "serial_sweep.h"
 #include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/json_util.h"
@@ -238,13 +239,15 @@ TEST_F(ObsProfilerTest, PipelineOutputsIdenticalWithProfilingOnOrOff) {
 
   core::Pipeline quiet_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> quiet =
-      quiet_pipeline.EvaluateAllTargets(config);
+      core::SerialSweep(&quiet_pipeline, config);
 
   obs::SetPerfCountersEnabled(true);
   ASSERT_TRUE(obs::StartProfiler(499).ok());
   core::Pipeline profiled_pipeline(&zoo, zoo::Modality::kImage);
   const std::vector<core::TargetEvaluation> profiled =
-      profiled_pipeline.EvaluateAllTargets(config);
+      profiled_pipeline
+          .EvaluateAllTargetsResumable(config, core::SweepOptions{})
+          .evaluations;
   ASSERT_TRUE(obs::StopProfiler().ok());
 
   ASSERT_EQ(profiled.size(), quiet.size());

@@ -341,7 +341,8 @@ TEST_F(ObsTest, SweepPrefillSpanNestsUnderTheDriver) {
   zoo::ModelZoo zoo(SmallZooConfig());
   obs::SetTraceEnabled(true);
   core::Pipeline pipeline(&zoo, zoo::Modality::kImage);
-  pipeline.EvaluateAllTargets(SmallN2vConfig());
+  pipeline.EvaluateAllTargetsResumable(SmallN2vConfig(),
+                                       core::SweepOptions{});
   obs::SetTraceEnabled(false);
 
   const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();

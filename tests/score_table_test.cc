@@ -1,5 +1,5 @@
-// The zoo's transferability score table: the sweep drivers fill it once
-// before they fan out, so every (model, public dataset) pair is computed
+// The zoo's transferability score table: the sweep driver fills it once
+// before it fans out, so every (model, public dataset) pair is computed
 // exactly once; the filled values are bit-identical at any thread count; and
 // a dispatch fault during the pre-fill leaves the sweep's results untouched.
 #include <memory>
@@ -10,6 +10,7 @@
 #include "core/graph_builder.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "serial_sweep.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 
@@ -57,31 +58,22 @@ class ScoreTableTest : public ::testing::Test {
   }
 };
 
-TEST_F(ScoreTableTest, SweepDriversComputeEachDistinctPairOnce) {
+TEST_F(ScoreTableTest, SweepDriverComputesEachDistinctPairOnce) {
   SetThreadCount(4);
-  for (const bool resumable : {false, true}) {
-    std::unique_ptr<zoo::ModelZoo> zoo = SmallZoo();
-    Pipeline pipeline(zoo.get(), zoo::Modality::kImage);
-    const uint64_t score_miss = CounterValue("zoo.score_cache.miss");
-    const uint64_t embedding_miss =
-        CounterValue("zoo.dataset_embedding_cache.miss");
-    if (resumable) {
-      EXPECT_TRUE(
-          pipeline.EvaluateAllTargetsResumable(N2vConfig(), SweepOptions{})
-              .complete);
-    } else {
-      pipeline.EvaluateAllTargets(N2vConfig());
-    }
-    const size_t pairs =
-        zoo->ModelsOfModality(zoo::Modality::kImage).size() *
-        zoo->PublicDatasets(zoo::Modality::kImage).size();
-    EXPECT_EQ(CounterValue("zoo.score_cache.miss") - score_miss, pairs)
-        << (resumable ? "resumable" : "in-memory") << " sweep";
-    EXPECT_EQ(CounterValue("zoo.dataset_embedding_cache.miss") -
-                  embedding_miss,
-              zoo->DatasetsOfModality(zoo::Modality::kImage).size())
-        << (resumable ? "resumable" : "in-memory") << " sweep";
-  }
+  std::unique_ptr<zoo::ModelZoo> zoo = SmallZoo();
+  Pipeline pipeline(zoo.get(), zoo::Modality::kImage);
+  const uint64_t score_miss = CounterValue("zoo.score_cache.miss");
+  const uint64_t embedding_miss =
+      CounterValue("zoo.dataset_embedding_cache.miss");
+  EXPECT_TRUE(
+      pipeline.EvaluateAllTargetsResumable(N2vConfig(), SweepOptions{})
+          .complete);
+  const size_t pairs = zoo->ModelsOfModality(zoo::Modality::kImage).size() *
+                       zoo->PublicDatasets(zoo::Modality::kImage).size();
+  EXPECT_EQ(CounterValue("zoo.score_cache.miss") - score_miss, pairs);
+  EXPECT_EQ(
+      CounterValue("zoo.dataset_embedding_cache.miss") - embedding_miss,
+      zoo->DatasetsOfModality(zoo::Modality::kImage).size());
 }
 
 TEST_F(ScoreTableTest, FilledScoresAreBitIdenticalAcrossThreadCounts) {
@@ -127,29 +119,19 @@ TEST_F(ScoreTableTest, DispatchFaultDuringPrefillLeavesSweepIntact) {
   std::unique_ptr<zoo::ModelZoo> reference_zoo = SmallZoo();
   Pipeline reference_pipeline(reference_zoo.get(), zoo::Modality::kImage);
   const std::vector<TargetEvaluation> reference =
-      reference_pipeline.EvaluateAllTargets(N2vConfig());
+      SerialSweep(&reference_pipeline, N2vConfig());
 
-  // The pre-fill is each driver's first parallel region, so hit:1 lands in
+  // The pre-fill is the driver's first parallel region, so hit:1 lands in
   // it. Had it landed in a target instead, that target would need a retry.
-  for (const bool resumable : {false, true}) {
-    std::unique_ptr<zoo::ModelZoo> zoo = SmallZoo();
-    Pipeline pipeline(zoo.get(), zoo::Modality::kImage);
-    ASSERT_TRUE(fault::InstallSpec("thread_pool.dispatch=hit:1").ok());
-    if (resumable) {
-      const SweepResult result =
-          pipeline.EvaluateAllTargetsResumable(N2vConfig(), SweepOptions{});
-      EXPECT_EQ(fault::SiteFired("thread_pool.dispatch"), 1u);
-      EXPECT_TRUE(result.complete);
-      EXPECT_EQ(result.retried, 0u);
-      ExpectSamePredictions(reference, result.evaluations);
-    } else {
-      const std::vector<TargetEvaluation> result =
-          pipeline.EvaluateAllTargets(N2vConfig());
-      EXPECT_EQ(fault::SiteFired("thread_pool.dispatch"), 1u);
-      ExpectSamePredictions(reference, result);
-    }
-    fault::ClearFaults();
-  }
+  std::unique_ptr<zoo::ModelZoo> zoo = SmallZoo();
+  Pipeline pipeline(zoo.get(), zoo::Modality::kImage);
+  ASSERT_TRUE(fault::InstallSpec("thread_pool.dispatch=hit:1").ok());
+  const SweepResult result =
+      pipeline.EvaluateAllTargetsResumable(N2vConfig(), SweepOptions{});
+  EXPECT_EQ(fault::SiteFired("thread_pool.dispatch"), 1u);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.retried, 0u);
+  ExpectSamePredictions(reference, result.evaluations);
 }
 
 }  // namespace

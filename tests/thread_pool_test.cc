@@ -14,6 +14,7 @@
 #include "core/pipeline.h"
 #include "ml/gbdt.h"
 #include "obs/metrics.h"
+#include "serial_sweep.h"
 #include "util/rng.h"
 
 namespace tg {
@@ -237,11 +238,12 @@ TEST_F(ThreadPoolTest, SmallGbdtFitStaysInline) {
   EXPECT_GT(inline_runs.value(), before);
 }
 
-// End-to-end determinism: the full leave-one-out evaluation (walks,
-// skip-gram, forests, parallel targets, shared caches) must be bit-identical
-// at 1 and 4 threads. Fresh zoo + pipeline per run so no cache carries over.
-TEST_F(ThreadPoolTest, EvaluateAllTargetsBitIdenticalAcrossThreadCounts) {
-  auto evaluate = [] {
+// End-to-end determinism: the sweep driver at 4 threads (walks, skip-gram,
+// forests, parallel targets, shared caches) must be bit-identical to a
+// serial EvaluateTarget loop at 1 thread. Fresh zoo + pipeline per run so
+// no cache carries over.
+TEST_F(ThreadPoolTest, SweepBitIdenticalAcrossThreadCounts) {
+  auto evaluate = [](bool sweep) {
     zoo::ModelZooConfig zc;
     zc.catalog.num_image_models = 32;
     zc.catalog.num_text_models = 12;
@@ -256,12 +258,16 @@ TEST_F(ThreadPoolTest, EvaluateAllTargetsBitIdenticalAcrossThreadCounts) {
     config.node2vec.skipgram.dim = 16;
     config.node2vec.skipgram.epochs = 1;
     config.predictor.gbdt.num_trees = 20;
-    return pipeline.EvaluateAllTargets(config);
+    return sweep ? pipeline
+                       .EvaluateAllTargetsResumable(config,
+                                                    core::SweepOptions{})
+                       .evaluations
+                 : core::SerialSweep(&pipeline, config);
   };
   SetThreadCount(1);
-  const std::vector<core::TargetEvaluation> serial = evaluate();
+  const std::vector<core::TargetEvaluation> serial = evaluate(false);
   SetThreadCount(4);
-  const std::vector<core::TargetEvaluation> parallel = evaluate();
+  const std::vector<core::TargetEvaluation> parallel = evaluate(true);
 
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_FALSE(serial.empty());

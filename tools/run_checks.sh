@@ -10,7 +10,8 @@
 # random_forest_fit and gbdt_fit wall-time ceilings, and hardware-counter
 # ratio gates), a knob-strictness gate (hard-error checks for TG_THREADS,
 # TG_TRACE=yes, TG_TELEMETRY_PORT, TG_EVENT_LOG_RATE, a malformed TG_FAULT,
-# a malformed --models flag and an unknown tg_cli flag) with a
+# a malformed --models flag, an unknown tg_cli flag, bare path-valued
+# flags and --learner none with graph features) with a
 # random-forest rank smoke under ASan, a distributed-sweep chaos gate
 # (the serial checkpointed sweep must be byte-identical at TG_THREADS=1
 # and the default thread count; three workers sharing a workdir with one
@@ -391,6 +392,26 @@ if [ "$BAD_FLAG_RC" -ne 2 ] || [[ "$BAD_FLAG_ERR" != *"--bogus"* ]]; then
       "(got $BAD_FLAG_RC)" >&2
   exit 1
 fi
+# A bare path-valued flag is a usage error naming it (never a silent
+# fallback to the serial sweep or to no checkpoint), and `--learner none`
+# cannot build graph features: exit 2 naming both values, never 134.
+# Each case is "expected stderr text|tg_cli arguments".
+for CASE in "--workdir|sweep --workdir --worker-id w1" \
+    "--checkpoint|sweep --checkpoint --no-degrade" \
+    "--worker-id|sweep --workdir /nonexistent --worker-id" \
+    "--out|sweep-merge --workdir /nonexistent --out" \
+    "--features all|rank --target 0 --learner none"; do
+  WANT="${CASE%%|*}"
+  set +e
+  # shellcheck disable=SC2086  # the arguments are a deliberate word list
+  BAD_ERR="$(./build-release/tools/tg_cli ${CASE#*|} 2>&1 >/dev/null)"
+  BAD_RC=$?
+  set -e
+  if [ "$BAD_RC" -ne 2 ] || [[ "$BAD_ERR" != *"$WANT"* ]]; then
+    echo "tg_cli ${CASE#*|} must exit 2 naming '$WANT' (got $BAD_RC)" >&2
+    exit 1
+  fi
+done
 # Full rank pipeline on the random forest under ASan: the split search's
 # order-expansion slack (decision_tree.cc) is only exercised by bootstrap
 # samples, and it is exactly the kind of raw-pointer code ASan exists for.

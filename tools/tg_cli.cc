@@ -32,7 +32,9 @@
 //
 // Common options:
 //   --modality image|text           (default image)
-//   --learner n2v|n2v+|sage|gat     graph learner      (default n2v)
+//   --learner n2v|n2v+|sage|gat|none  graph learner    (default n2v;
+//                                   none needs --features metadata or
+//                                   all+logme)
 //   --predictor lr|rf|xgb|auto      prediction model   (default xgb)
 //   --features metadata|all|graph   feature set        (default all)
 //   --top K                         list length for rank (default 10)
@@ -231,6 +233,13 @@ bool IsKnownOption(const std::string& key) {
   return false;
 }
 
+// Options whose value is a path or a name: a bare `--workdir` would
+// otherwise parse as "true" and be dropped, silently running another mode.
+bool RequiresValue(const std::string& key) {
+  return key == "checkpoint" || key == "out" || key == "workdir" ||
+         key == "worker-id";
+}
+
 Result<CliArgs> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   CliArgs args;
@@ -242,6 +251,7 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     }
     std::string key = argv[i] + 2;
     std::string value = "true";
+    bool valueless = false;
     const size_t eq = key.find('=');
     if (eq != std::string::npos) {
       // --option=value form (e.g. --profile=397).
@@ -251,6 +261,7 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
       // Boolean flags (e.g. --metrics) take no value: the next token is
       // either absent or another --option.
+      valueless = true;
       i += 1;
     } else {
       value = argv[i + 1];
@@ -258,6 +269,9 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     }
     if (!IsKnownOption(key)) {
       return Status::InvalidArgument("unknown option --" + key);
+    }
+    if (valueless && RequiresValue(key)) {
+      return Status::InvalidArgument("--" + key + " requires a value");
     }
     args.options[key] = value;
   }
@@ -382,6 +396,36 @@ void PrintStageTable(const obs::MetricsSnapshot& cold,
   table.Print();
 }
 
+// The one parse of the strategy flags, shared by `rank`, `sweep`, the
+// distributed worker branch and `sweep-merge` -- the merger must resolve
+// the exact same PipelineConfig (and hence SweepFingerprint) as the workers
+// whose shards it validates. Graph features need a graph learner, so
+// `--learner none` with `all` or `graph` features is rejected here rather
+// than aborting mid-pipeline.
+Result<core::PipelineConfig> StrategyConfigFrom(const CliArgs& args) {
+  const std::string learner_name = args.Get("learner", "n2v");
+  const std::string features_name = args.Get("features", "all");
+  Result<core::GraphLearner> learner = ParseLearner(learner_name);
+  Result<core::PredictorKind> predictor =
+      ParsePredictor(args.Get("predictor", "xgb"));
+  Result<core::FeatureSet> features = ParseFeatures(features_name);
+  if (!learner.ok()) return learner.status();
+  if (!predictor.ok()) return predictor.status();
+  if (!features.ok()) return features.status();
+  if (learner.value() == core::GraphLearner::kNone &&
+      (features.value() == core::FeatureSet::kAll ||
+       features.value() == core::FeatureSet::kGraphOnly)) {
+    return Status::InvalidArgument(
+        "--learner " + learner_name + " cannot build --features " +
+        features_name + " (graph features need a graph learner)");
+  }
+  core::PipelineConfig config;
+  config.strategy.learner = learner.value();
+  config.strategy.predictor = predictor.value();
+  config.strategy.features = features.value();
+  return config;
+}
+
 int RunRank(const CliArgs& args) {
   const std::string target_name = args.Get("target", "");
   if (target_name.empty() || target_name == "true") return Usage();
@@ -389,6 +433,12 @@ int RunRank(const CliArgs& args) {
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
+  Result<core::PipelineConfig> parsed_config = StrategyConfigFrom(args);
+  if (!parsed_config.ok()) return UsageError(parsed_config.status());
+  const core::PipelineConfig& config = parsed_config.value();
+  Result<size_t> top =
+      ParseNumberFlag("top", args.Get("top", "10"), size_t{1}, SIZE_MAX);
+  if (!top.ok()) return UsageError(top.status());
 
   zoo::ModelZoo zoo(args.zoo);
   size_t target = 0;
@@ -423,21 +473,6 @@ int RunRank(const CliArgs& args) {
                  target_name.c_str());
     return 1;
   }
-
-  core::PipelineConfig config;
-  Result<core::GraphLearner> learner = ParseLearner(args.Get("learner",
-                                                             "n2v"));
-  Result<core::PredictorKind> predictor =
-      ParsePredictor(args.Get("predictor", "xgb"));
-  Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
-                                                             "all"));
-  Result<size_t> top =
-      ParseNumberFlag("top", args.Get("top", "10"), size_t{1}, SIZE_MAX);
-  if (!learner.ok() || !predictor.ok() || !features.ok()) return Usage();
-  if (!top.ok()) return UsageError(top.status());
-  config.strategy.learner = learner.value();
-  config.strategy.predictor = predictor.value();
-  config.strategy.features = features.value();
 
   core::Pipeline pipeline(&zoo, zoo.datasets()[target].modality);
   core::TargetEvaluation evaluation =
@@ -479,26 +514,6 @@ int RunRank(const CliArgs& args) {
   return 0;
 }
 
-// Strategy flags shared by `sweep`, the distributed worker branch, and
-// `sweep-merge` -- the merger must resolve the exact same PipelineConfig
-// (and hence SweepFingerprint) as the workers whose shards it validates.
-Result<core::PipelineConfig> SweepConfigFrom(const CliArgs& args) {
-  Result<core::GraphLearner> learner = ParseLearner(args.Get("learner",
-                                                             "n2v"));
-  Result<core::PredictorKind> predictor =
-      ParsePredictor(args.Get("predictor", "xgb"));
-  Result<core::FeatureSet> features = ParseFeatures(args.Get("features",
-                                                             "all"));
-  if (!learner.ok()) return learner.status();
-  if (!predictor.ok()) return predictor.status();
-  if (!features.ok()) return features.status();
-  core::PipelineConfig config;
-  config.strategy.learner = learner.value();
-  config.strategy.predictor = predictor.value();
-  config.strategy.features = features.value();
-  return config;
-}
-
 // Distributed worker: claim/steal/evaluate/publish against a shared
 // --workdir until the whole sweep is resolved or a drain is requested.
 // Exercised by the distributed chaos gate in tools/run_checks.sh.
@@ -512,7 +527,7 @@ int RunSweepWorkerCli(const CliArgs& args, const core::PipelineConfig& config,
   if (!lease_sec.ok()) return UsageError(lease_sec.status());
   options.lease_sec = lease_sec.value();
   options.degrade_on_failure = !args.Flag("no-degrade");
-  if (options.worker_id.empty() || options.worker_id == "true") {
+  if (options.worker_id.empty()) {
     std::fprintf(stderr, "sweep --workdir requires --worker-id\n");
     return Usage();
   }
@@ -551,15 +566,15 @@ int RunSweepMerge(const CliArgs& args) {
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
-  Result<core::PipelineConfig> config = SweepConfigFrom(args);
-  if (!config.ok()) return Usage();
+  Result<core::PipelineConfig> config = StrategyConfigFrom(args);
+  if (!config.ok()) return UsageError(config.status());
   const std::string workdir = args.Get("workdir", "");
-  if (workdir.empty() || workdir == "true") {
+  if (workdir.empty()) {
     std::fprintf(stderr, "sweep-merge requires --workdir\n");
     return Usage();
   }
   std::string out = args.Get("out", "");
-  if (out.empty() || out == "true") out = workdir + "/merged.json";
+  if (out.empty()) out = workdir + "/merged.json";
 
   zoo::ModelZoo zoo(args.zoo);
   core::Pipeline pipeline(&zoo, modality.value());
@@ -590,18 +605,17 @@ int RunSweep(const CliArgs& args) {
   Result<zoo::Modality> modality = ParseModality(args.Get("modality",
                                                           "image"));
   if (!modality.ok()) return Usage();
-  Result<core::PipelineConfig> parsed_config = SweepConfigFrom(args);
-  if (!parsed_config.ok()) return Usage();
+  Result<core::PipelineConfig> parsed_config = StrategyConfigFrom(args);
+  if (!parsed_config.ok()) return UsageError(parsed_config.status());
   const core::PipelineConfig& config = parsed_config.value();
 
   const std::string workdir = args.Get("workdir", "");
-  if (!workdir.empty() && workdir != "true") {
+  if (!workdir.empty()) {
     return RunSweepWorkerCli(args, config, modality.value());
   }
 
   core::SweepOptions options;
   options.checkpoint_path = args.Get("checkpoint", "");
-  if (options.checkpoint_path == "true") options.checkpoint_path.clear();
   options.degrade_on_failure = !args.Flag("no-degrade");
 
   zoo::ModelZoo zoo(args.zoo);
