@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/thread_log.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/json_util.h"
-#include "util/string_util.h"
 
 namespace tg::obs {
 
@@ -25,15 +24,7 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-// --- Per-thread lock-free record buffers ------------------------------------
-//
-// Same discipline as the span buffers in obs/trace.cc: the owner thread
-// appends into a chain of fixed-size blocks and release-publishes a count;
-// the single drainer acquire-loads the count, formats the records, and frees
-// blocks it has fully consumed (safe: the writer never revisits a block it
-// has moved past, and only the drainer advances the drain cursor).
-
-constexpr size_t kEventBlockSize = 64;
+// --- Per-thread records -----------------------------------------------------
 
 struct EventRecord {
   uint64_t ts_ns = 0;
@@ -49,58 +40,7 @@ struct EventRecord {
   std::vector<std::string> span_chain;
 };
 
-struct EventBlock {
-  EventRecord slots[kEventBlockSize];
-  std::atomic<EventBlock*> next{nullptr};
-};
-
-struct ThreadEventBuffer {
-  uint32_t tid = 0;
-  EventBlock head;
-  // Owner thread only.
-  EventBlock* write_block = &head;
-  uint64_t write_count = 0;
-  std::atomic<uint64_t> published{0};
-  // Drainer only.
-  EventBlock* drain_block = &head;
-  uint64_t drained = 0;
-
-  void Append(EventRecord&& record) {
-    const size_t slot = write_count % kEventBlockSize;
-    if (slot == 0 && write_count != 0) {
-      EventBlock* fresh = new EventBlock;
-      write_block->next.store(fresh, std::memory_order_release);
-      write_block = fresh;
-    }
-    write_block->slots[slot] = std::move(record);
-    ++write_count;
-    published.store(write_count, std::memory_order_release);
-  }
-};
-
-struct EventBufferRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadEventBuffer>> buffers;
-};
-
-EventBufferRegistry& Buffers() {
-  // Leaked (like the trace buffer registry) so late emitters during process
-  // teardown never touch a destroyed registry.
-  static EventBufferRegistry* registry = new EventBufferRegistry;
-  return *registry;
-}
-
-ThreadEventBuffer* LocalBuffer() {
-  thread_local std::shared_ptr<ThreadEventBuffer> buffer = [] {
-    auto fresh = std::make_shared<ThreadEventBuffer>();
-    EventBufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    fresh->tid = static_cast<uint32_t>(registry.buffers.size());
-    registry.buffers.push_back(fresh);
-    return fresh;
-  }();
-  return buffer.get();
-}
+using EventLog = ThreadLog<EventRecord, 64>;
 
 // --- Process-wide log state -------------------------------------------------
 
@@ -195,23 +135,21 @@ std::string FormatRecord(const EventRecord& record, uint32_t tid) {
   return out;
 }
 
-// Drains one buffer: formats (or discards) every published-but-undrained
-// record and frees blocks left fully behind. Drainer thread (or Start/Stop
-// under the state mutex with the drainer not running) only.
-void DrainBuffer(EventLogState& state, ThreadEventBuffer* buffer,
-                 bool discard) {
-  const uint64_t published = buffer->published.load(std::memory_order_acquire);
-  while (buffer->drained < published) {
-    const size_t slot = buffer->drained % kEventBlockSize;
-    if (slot == 0 && buffer->drained != 0) {
-      EventBlock* next = buffer->drain_block->next.load(
-          std::memory_order_acquire);
-      if (buffer->drain_block != &buffer->head) delete buffer->drain_block;
-      buffer->drain_block = next;
-    }
-    EventRecord& record = buffer->drain_block->slots[slot];
-    if (!discard && state.file != nullptr && !state.write_failed) {
-      const std::string line = FormatRecord(record, buffer->tid);
+// Formats (or discards) every published-but-undrained record of every
+// thread. Drainer thread (or Start/Stop under the state mutex with the
+// drainer not running) only.
+void DrainAll(EventLogState& state, bool discard) {
+  ForEachObsThread([&state, discard](ObsThread& thread) {
+    EventLog* log = thread.Find<EventLog>(ThreadSlot::kEvents);
+    if (log == nullptr) return;
+    log->Consume([&](const EventRecord& record) {
+      if (discard) {
+        g_dropped.fetch_add(1, std::memory_order_relaxed);
+        DroppedCounter().Increment();
+        return;
+      }
+      if (state.file == nullptr || state.write_failed) return;
+      const std::string line = FormatRecord(record, thread.tid);
       if (std::fwrite(line.data(), 1, line.size(), state.file) !=
           line.size()) {
         // Keep draining (bounding memory) but stop writing; stderr, not
@@ -220,26 +158,8 @@ void DrainBuffer(EventLogState& state, ThreadEventBuffer* buffer,
                      state.path.c_str());
         state.write_failed = true;
       }
-    }
-    if (discard) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      DroppedCounter().Increment();
-    }
-    record = EventRecord();  // release the strings promptly
-    ++buffer->drained;
-  }
-}
-
-void DrainAll(EventLogState& state, bool discard) {
-  // Snapshot the buffer list under its lock, drain outside it: new threads
-  // can register while we write.
-  std::vector<std::shared_ptr<ThreadEventBuffer>> buffers;
-  {
-    EventBufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    buffers = registry.buffers;
-  }
-  for (const auto& buffer : buffers) DrainBuffer(state, buffer.get(), discard);
+    });
+  });
 }
 
 void RefillTokens(EventLogState& state) {
@@ -274,40 +194,13 @@ void DrainerLoop(EventLogState& state) {
   if (state.file != nullptr && !state.write_failed) std::fflush(state.file);
 }
 
-std::vector<std::string> CaptureSpanChain() {
-  // CurrentSpanStack is maintained whenever any obs mode bit is on, which
-  // includes the event-log bit itself.
-  return CurrentSpanStack();
-}
-
 void AppendRecord(EventRecord&& record) {
   record.ts_ns = TraceNowNs();
-  LocalBuffer()->Append(std::move(record));
-}
-
-// Installed as the util/logging.h sink while the log runs: every TG_LOG
-// line becomes a structured record instead of a raw stderr line.
-void LogSinkToEventLog(LogLevel level, const char* file, int line,
-                       const std::string& message) {
-  EmitLogEvent(level, file, line, message);
-}
-
-// Reads a tuning knob: `fallback` when unset or empty. A set value that is
-// not a finite number > 0 (>= 0 with `allow_zero`) exits 1 naming the
-// variable -- same policy as TG_THREADS: a set knob must never silently fall
-// back.
-double EnvNonNegativeOrExit(const char* name, double fallback,
-                            bool allow_zero) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  double parsed = 0.0;
-  if (ParseDouble(value, &parsed) && std::isfinite(parsed) &&
-      (parsed > 0.0 || (allow_zero && parsed == 0.0))) {
-    return parsed;
-  }
-  std::fprintf(stderr, "%s=%s: expected a finite number %s 0\n", name, value,
-               allow_zero ? ">=" : ">");
-  std::exit(1);
+  // Spans keep their open chain whenever any obs mode bit is on, which
+  // includes the event-log bit itself.
+  record.span_chain = CurrentSpanStack();
+  CurrentObsThread().GetOrCreate<EventLog>(ThreadSlot::kEvents).Append(
+      std::move(record));
 }
 
 }  // namespace
@@ -342,7 +235,8 @@ Status StartEventLog(const std::string& path, const EventLogOptions& options) {
   state.drainer = std::thread([&state] { DrainerLoop(state); });
   SetEventLogSpansEnabled(true);
   internal_event_log::g_enabled.store(true, std::memory_order_relaxed);
-  SetLogSink(&LogSinkToEventLog);
+  // Every TG_LOG line becomes a structured record, not a raw stderr line.
+  SetLogSink(&EmitLogEvent);
   return Status::OK();
 }
 
@@ -365,11 +259,15 @@ bool MaybeStartEventLogFromEnv() {
   const char* path = std::getenv("TG_EVENT_LOG");
   if (path == nullptr || *path == '\0') return false;
   EventLogOptions options;
-  options.rate_per_sec = EnvNonNegativeOrExit(
-      "TG_EVENT_LOG_RATE", options.rate_per_sec, /*allow_zero=*/false);
+  options.rate_per_sec =
+      EnvFiniteDouble("TG_EVENT_LOG_RATE", 0.0, /*min_inclusive=*/false,
+                      "expected a finite number > 0")
+          .value_or(options.rate_per_sec);
   options.burst = 2.0 * options.rate_per_sec;
-  options.span_threshold_ms = EnvNonNegativeOrExit(
-      "TG_EVENT_LOG_SPAN_MS", options.span_threshold_ms, /*allow_zero=*/true);
+  options.span_threshold_ms =
+      EnvFiniteDouble("TG_EVENT_LOG_SPAN_MS", 0.0, /*min_inclusive=*/true,
+                      "expected a finite number >= 0")
+          .value_or(options.span_threshold_ms);
   Status started = StartEventLog(path, options);
   if (!started.ok()) {
     std::fprintf(stderr, "event log unavailable: %s\n",
@@ -394,7 +292,6 @@ void EmitLogEvent(LogLevel level, const char* file, int line,
   record.file = file;
   record.line = line;
   record.message = message;
-  record.span_chain = CaptureSpanChain();
   AppendRecord(std::move(record));
 }
 
@@ -405,7 +302,6 @@ void EmitEvent(const char* kind, const std::string& message,
   record.kind = kind;
   record.message = message;
   record.detail = detail;
-  record.span_chain = CaptureSpanChain();
   AppendRecord(std::move(record));
 }
 
@@ -423,9 +319,8 @@ void MaybeEmitSpanEvent(const char* name, const std::string& detail,
   record.detail = detail;
   record.start_ns = start_ns;
   record.end_ns = end_ns;
-  // ~Span emits after restoring the open chain, so the captured chain is
+  // ~Span emits after restoring the open chain, so the appended chain is
   // the enclosing stack (the span itself is the "name" field).
-  record.span_chain = CaptureSpanChain();
   AppendRecord(std::move(record));
 }
 

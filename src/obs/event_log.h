@@ -12,13 +12,14 @@
 // Timestamps are obs::TraceNowNs() -- the same monotonic clock as every
 // other obs artifact, so event-log lines and Chrome-trace spans line up.
 //
-// Write path: emitters append to lock-free per-thread block buffers (the
-// obs/trace.cc discipline: release-published counters, blocks only ever
-// appended); a single drainer thread formats and writes the JSON lines in
-// the background and frees fully-drained blocks. Emission is rate-limited
-// by a token bucket (rate/burst in EventLogOptions); shed events are
-// counted, never blocked on -- the "event_log.dropped_events" counter and
-// EventLogDroppedCount() make the loss visible.
+// "tid" is the thread's obs id, the same as the Chrome-trace tid and
+// /statusz threads (obs/thread_log.h).
+//
+// Write path: emitters append to their thread's lock-free ThreadLog; a
+// single drainer thread consumes the logs in the background, writing the
+// lines and freeing blocks it has moved past. A token bucket (rate/burst in
+// EventLogOptions) sheds events, counted and never blocked on: the
+// "event_log.dropped_events" counter and EventLogDroppedCount() show loss.
 //
 // Cost model: every emission site starts with one relaxed atomic load of
 // the enabled flag; when the log is off (the default) that load is the

@@ -8,13 +8,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
 
+#include "obs/thread_log.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
+#include "util/env.h"
 #include "util/json_util.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -61,23 +62,11 @@ struct ThreadSampleBuffer {
   RawSample slots[kRingCapacity];
 };
 
-struct SampleRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadSampleBuffer>> buffers;
-};
-
-SampleRegistry& Registry() {
-  // Leaked (like the trace-buffer registry) so buffers outlive thread exit
-  // and remain drainable until process end.
-  static SampleRegistry* registry = new SampleRegistry;
-  return *registry;
-}
-
-// Raw pointer read by the signal handler; the shared_ptr holder (plus the
-// registry) keeps the buffer alive. Signals on this thread are sequenced
-// with these writes, so a plain store plus a signal fence suffices.
+// Raw pointer read by the signal handler to the ring in this thread's
+// ObsThread slot, which outlives the thread. Signals on this thread are
+// sequenced with these writes, so a plain store plus a signal fence
+// suffices.
 thread_local ThreadSampleBuffer* t_buffer_raw = nullptr;
-thread_local std::shared_ptr<ThreadSampleBuffer> t_buffer_holder;
 
 std::atomic<bool> g_running{false};
 std::atomic<uint64_t> g_dropped{0};
@@ -267,32 +256,31 @@ void AggregateSample(const RawSample& s, ProfileAggregates* agg) {
   }
 }
 
+// Consumes every thread's published samples, aggregating them into `agg`
+// (or discarding them when it is null).
 void DrainInto(ProfileAggregates* agg) {
-  SampleRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const auto& buf : registry.buffers) {
+  ForEachObsThread([agg](ObsThread& thread) {
+    ThreadSampleBuffer* buf =
+        thread.Find<ThreadSampleBuffer>(ThreadSlot::kSamples);
+    if (buf == nullptr) return;
     const uint64_t published = buf->published.load(std::memory_order_acquire);
     const uint64_t consumed = buf->consumed.load(std::memory_order_relaxed);
-    for (uint64_t i = consumed; i < published; ++i) {
-      AggregateSample(buf->slots[i % kRingCapacity], agg);
+    if (agg != nullptr) {
+      for (uint64_t i = consumed; i < published; ++i) {
+        AggregateSample(buf->slots[i % kRingCapacity], agg);
+      }
     }
     buf->consumed.store(published, std::memory_order_release);
-  }
+  });
 }
 
 }  // namespace
 
 int ProfilerDefaultHz() {
-  const char* env = std::getenv("TG_PROFILE_HZ");
-  if (env == nullptr || *env == '\0') return 97;
-  uint64_t hz = 0;
-  if (ParseUint64(env, &hz) && hz >= 1 && hz <= 10000) {
-    return static_cast<int>(hz);
-  }
-  // Same policy as TG_THREADS: a set knob must never silently fall back.
-  std::fprintf(stderr, "TG_PROFILE_HZ=%s: expected an integer in [1, 10000]\n",
-               env);
-  std::exit(1);
+  return static_cast<int>(
+      EnvUint64InRange("TG_PROFILE_HZ", 1, 10000,
+                       "expected an integer in [1, 10000]")
+          .value_or(97));
 }
 
 bool ProfilerRunning() { return g_running.load(std::memory_order_relaxed); }
@@ -302,29 +290,24 @@ int ProfilerHz() { return g_hz; }
 void ProfilerEnsureThreadRegistered() {
   if (t_buffer_raw != nullptr) return;
   if (!g_running.load(std::memory_order_relaxed)) return;
-  auto fresh = std::make_shared<ThreadSampleBuffer>();
+  ThreadSampleBuffer& fresh =
+      CurrentObsThread().GetOrCreate<ThreadSampleBuffer>(ThreadSlot::kSamples);
 #if defined(__linux__)
   pthread_attr_t attr;
   if (pthread_getattr_np(pthread_self(), &attr) == 0) {
     void* stack_addr = nullptr;
     size_t stack_size = 0;
     if (pthread_attr_getstack(&attr, &stack_addr, &stack_size) == 0) {
-      fresh->stack_lo = reinterpret_cast<uintptr_t>(stack_addr);
-      fresh->stack_hi = fresh->stack_lo + stack_size;
+      fresh.stack_lo = reinterpret_cast<uintptr_t>(stack_addr);
+      fresh.stack_hi = fresh.stack_lo + stack_size;
     }
     pthread_attr_destroy(&attr);
   }
 #endif
-  {
-    SampleRegistry& registry = Registry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    registry.buffers.push_back(fresh);
-  }
-  t_buffer_holder = fresh;
   // Publish to the signal handler last; the fence keeps the buffer's
   // initialization from sinking below the pointer store.
   std::atomic_signal_fence(std::memory_order_release);
-  t_buffer_raw = fresh.get();
+  t_buffer_raw = &fresh;
 }
 
 Status StartProfiler(int hz) {
@@ -425,15 +408,7 @@ uint64_t ProfilerDroppedSampleCount() {
 void ResetProfile() {
   ProfileAggregates& agg = Aggregates();
   std::lock_guard<std::mutex> lock(agg.mu);
-  {
-    // Discard unconsumed samples without aggregating them.
-    SampleRegistry& registry = Registry();
-    std::lock_guard<std::mutex> registry_lock(registry.mu);
-    for (const auto& buf : registry.buffers) {
-      buf->consumed.store(buf->published.load(std::memory_order_acquire),
-                          std::memory_order_release);
-    }
-  }
+  DrainInto(nullptr);  // discard unconsumed samples
   agg.samples = 0;
   agg.stacks.clear();
   agg.span_counts.clear();

@@ -2,8 +2,8 @@
 // SIGPROF at a configurable rate (default ~97 Hz -- prime, so it cannot
 // phase-lock with millisecond-periodic work); the async-signal-safe handler
 // captures a frame-pointer backtrace plus the open-span name chain into a
-// lock-free thread-local ring buffer (same release/acquire block-buffer
-// design as trace.cc), which is drained off-signal into per-span and
+// bounded lock-free per-thread ring (held by the thread's obs registry
+// entry, obs/thread_log.h), which is drained off-signal into per-span and
 // per-symbol aggregates, a collapsed-stack dump (flamegraph.pl /
 // speedscope-ready), and a top-N self/total table.
 //

@@ -17,9 +17,9 @@
 #include "obs/resource_sampler.h"
 #include "obs/trace.h"
 #include "util/build_info.h"
+#include "util/env.h"
 #include "util/http_server.h"
 #include "util/json_util.h"
-#include "util/string_util.h"
 
 namespace tg::obs {
 
@@ -350,18 +350,12 @@ std::string TelemetryStatusString() {
 
 bool MaybeStartTelemetryFromEnv() {
   if (TelemetryRunning()) return true;
-  const char* value = std::getenv("TG_TELEMETRY_PORT");
-  if (value == nullptr || *value == '\0') return false;
-  uint64_t port = 0;
-  if (!ParseUint64(value, &port) || port > 65535) {
-    // A set knob never silently falls back (the TG_THREADS policy); only a
-    // failed bind below degrades to running without telemetry.
-    std::fprintf(stderr,
-                 "TG_TELEMETRY_PORT=%s: expected a port in [0, 65535]\n",
-                 value);
-    std::exit(1);
-  }
-  Status started = StartTelemetry(static_cast<int>(port));
+  // A malformed port exits 1; only a failed bind below degrades to running
+  // without telemetry.
+  const std::optional<uint64_t> port = EnvUint64InRange(
+      "TG_TELEMETRY_PORT", 0, 65535, "expected a port in [0, 65535]");
+  if (!port.has_value()) return false;
+  Status started = StartTelemetry(static_cast<int>(*port));
   if (!started.ok()) {
     std::fprintf(stderr, "telemetry unavailable: %s\n",
                  started.ToString().c_str());

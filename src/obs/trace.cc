@@ -14,6 +14,7 @@
 #include "obs/perf_counters.h"
 #include "obs/profiler.h"
 #include "obs/resource_sampler.h"
+#include "obs/thread_log.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -47,12 +48,15 @@ std::atomic<uint32_t>& Mode() {
 // Reads the knobs at start-up, so a malformed value fails before any work.
 [[maybe_unused]] const bool g_mode_env_read = (Mode(), true);
 
-// --- Per-thread record buffers ---------------------------------------------
-//
-// Each thread appends to its own chain of fixed-size blocks; a record
-// becomes visible to readers via a release store of the published count, so
-// the writer takes no lock and never blocks on a flush. Blocks are only ever
-// appended, never moved, so readers can walk the chain concurrently.
+void SetModeBit(uint32_t bit, bool enabled) {
+  if (enabled) {
+    Mode().fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    Mode().fetch_and(~bit, std::memory_order_relaxed);
+  }
+}
+
+// --- Per-thread span state --------------------------------------------------
 
 constexpr size_t kBlockSize = 256;
 
@@ -60,72 +64,32 @@ constexpr size_t kBlockSize = 256;
 // still tracked by the thread-local chain; only the /statusz view truncates.
 constexpr size_t kMaxPublishedOpenSpans = 32;
 
-struct Block {
-  SpanRecord slots[kBlockSize];
-  std::atomic<Block*> next{nullptr};
-};
-
-struct ThreadBuffer {
-  uint32_t tid = 0;
-  std::string name;  // guarded by Buffers().mu
-  Block head;
+struct SpanThreadState {
+  ThreadLog<SpanRecord, kBlockSize> log;
   // Published open-span names for /statusz: owner thread stores, any thread
   // loads. Values are string literals (static storage), so a reader can
   // dereference whatever it sees; depth is published after the name slot so
   // an observed depth never exposes an unwritten slot.
   std::atomic<const char*> open_names[kMaxPublishedOpenSpans] = {};
   std::atomic<uint32_t> open_depth{0};
-  Block* write_block = &head;   // owner thread only
-  uint64_t write_count = 0;     // owner thread only
-  std::atomic<uint64_t> published{0};
-  std::atomic<uint64_t> consumed{0};  // flush side only
-
-  ~ThreadBuffer() {
-    Block* b = head.next.load(std::memory_order_acquire);
-    while (b != nullptr) {
-      Block* next = b->next.load(std::memory_order_acquire);
-      delete b;
-      b = next;
-    }
-  }
-
-  void Append(SpanRecord&& record) {
-    record.tid = tid;
-    const size_t slot = write_count % kBlockSize;
-    if (slot == 0 && write_count != 0) {
-      Block* fresh = new Block;
-      write_block->next.store(fresh, std::memory_order_release);
-      write_block = fresh;
-    }
-    write_block->slots[slot] = std::move(record);
-    ++write_count;
-    published.store(write_count, std::memory_order_release);
-  }
 };
 
-struct BufferRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-};
-
-BufferRegistry& Buffers() {
-  static BufferRegistry* registry = new BufferRegistry;
-  return *registry;
+SpanThreadState& LocalSpans() {
+  return CurrentObsThread().GetOrCreate<SpanThreadState>(ThreadSlot::kSpans);
 }
 
-// The registry keeps buffers alive past thread exit so spans recorded by
-// short-lived threads survive until the final flush.
-ThreadBuffer* LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto fresh = std::make_shared<ThreadBuffer>();
-    BufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    fresh->tid = static_cast<uint32_t>(registry.buffers.size());
-    fresh->name = "thread-" + std::to_string(fresh->tid);
-    registry.buffers.push_back(fresh);
-    return fresh;
-  }();
-  return buffer.get();
+// --- Thread registry --------------------------------------------------------
+
+struct ObsThreadRegistry {
+  std::mutex mu;
+  std::vector<ObsThread*> threads;  // index == tid
+};
+
+ObsThreadRegistry& Registry() {
+  // Leaked, like its entries, so late touches during process teardown never
+  // reach a destroyed registry.
+  static ObsThreadRegistry* registry = new ObsThreadRegistry;
+  return *registry;
 }
 
 std::atomic<uint64_t> g_next_span_id{1};
@@ -147,52 +111,28 @@ uint64_t TraceNowNs() {
           .count());
 }
 
-void SetTraceEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kTraceBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kTraceBit, std::memory_order_relaxed);
-  }
-}
+void SetTraceEnabled(bool enabled) { SetModeBit(kTraceBit, enabled); }
 
 bool TraceEnabled() {
   return (Mode().load(std::memory_order_relaxed) & kTraceBit) != 0;
 }
 
-void SetMetricsEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kMetricsBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kMetricsBit, std::memory_order_relaxed);
-  }
-}
+void SetMetricsEnabled(bool enabled) { SetModeBit(kMetricsBit, enabled); }
 
 bool MetricsEnabled() {
   return (Mode().load(std::memory_order_relaxed) & kMetricsBit) != 0;
 }
 
 void SetProfilerSpansEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kProfileBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kProfileBit, std::memory_order_relaxed);
-  }
+  SetModeBit(kProfileBit, enabled);
 }
 
 void SetEventLogSpansEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kEventLogBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kEventLogBit, std::memory_order_relaxed);
-  }
+  SetModeBit(kEventLogBit, enabled);
 }
 
 void SetTelemetrySpansEnabled(bool enabled) {
-  if (enabled) {
-    Mode().fetch_or(kTelemetryBit, std::memory_order_relaxed);
-  } else {
-    Mode().fetch_and(~kTelemetryBit, std::memory_order_relaxed);
-  }
+  SetModeBit(kTelemetryBit, enabled);
 }
 
 Span::Span(const char* name) : Span(name, std::string()) {}
@@ -215,12 +155,12 @@ Span::Span(const char* name, std::string detail) {
   if ((mode & kTelemetryBit) != 0) {
     // Publish the name for cross-thread /statusz reads: slot first, then
     // depth, so a reader that sees the new depth also sees the name.
-    ThreadBuffer* buffer = LocalBuffer();
-    const uint32_t depth = buffer->open_depth.load(std::memory_order_relaxed);
+    SpanThreadState& spans = LocalSpans();
+    const uint32_t depth = spans.open_depth.load(std::memory_order_relaxed);
     if (depth < kMaxPublishedOpenSpans) {
-      buffer->open_names[depth].store(name, std::memory_order_release);
+      spans.open_names[depth].store(name, std::memory_order_release);
     }
-    buffer->open_depth.store(depth + 1, std::memory_order_release);
+    spans.open_depth.store(depth + 1, std::memory_order_release);
     published_open_ = true;
   }
   if ((mode & kProfileBit) != 0) {
@@ -250,10 +190,10 @@ Span::~Span() {
   std::atomic_signal_fence(std::memory_order_release);
   t_open_span = prev_open_;
   if (published_open_) {
-    ThreadBuffer* buffer = LocalBuffer();
-    const uint32_t depth = buffer->open_depth.load(std::memory_order_relaxed);
+    SpanThreadState& spans = LocalSpans();
+    const uint32_t depth = spans.open_depth.load(std::memory_order_relaxed);
     if (depth > 0) {
-      buffer->open_depth.store(depth - 1, std::memory_order_release);
+      spans.open_depth.store(depth - 1, std::memory_order_release);
     }
   }
   if (perf_delta.ok) AccumulateStageCounters(name_, perf_delta);
@@ -280,7 +220,8 @@ Span::~Span() {
     record.alloc_bytes = alloc_bytes;
     record.allocs = alloc_count;
     record.perf = perf_delta;
-    LocalBuffer()->Append(std::move(record));
+    record.tid = CurrentObsThread().tid;
+    LocalSpans().log.Append(std::move(record));
   }
 }
 
@@ -302,23 +243,24 @@ const char* CurrentSpanName() {
 
 std::vector<ThreadOpenSpans> AllThreadsOpenSpans() {
   std::vector<ThreadOpenSpans> out;
-  BufferRegistry& registry = Buffers();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  out.reserve(registry.buffers.size());
-  for (const auto& buffer : registry.buffers) {
+  ForEachObsThread([&out](ObsThread& thread) {
     ThreadOpenSpans entry;
-    entry.tid = buffer->tid;
-    entry.thread_name = buffer->name;
-    const uint32_t depth = std::min<uint32_t>(
-        buffer->open_depth.load(std::memory_order_acquire),
-        kMaxPublishedOpenSpans);
-    for (uint32_t i = 0; i < depth; ++i) {
-      const char* name = buffer->open_names[i].load(std::memory_order_acquire);
-      if (name == nullptr) break;  // slot racing with a push; stop cleanly
-      entry.spans.emplace_back(name);
+    entry.tid = thread.tid;
+    entry.thread_name = thread.name;
+    if (const SpanThreadState* spans =
+            thread.Find<SpanThreadState>(ThreadSlot::kSpans)) {
+      const uint32_t depth = std::min<uint32_t>(
+          spans->open_depth.load(std::memory_order_acquire),
+          kMaxPublishedOpenSpans);
+      for (uint32_t i = 0; i < depth; ++i) {
+        const char* name =
+            spans->open_names[i].load(std::memory_order_acquire);
+        if (name == nullptr) break;  // slot racing with a push; stop cleanly
+        entry.spans.emplace_back(name);
+      }
     }
     out.push_back(std::move(entry));
-  }
+  });
   return out;
 }
 
@@ -344,51 +286,55 @@ ParentScope::ParentScope(uint64_t parent_span) : prev_(t_current_span) {
 
 ParentScope::~ParentScope() { t_current_span = prev_; }
 
-void SetCurrentThreadName(std::string name) {
-  ThreadBuffer* buffer = LocalBuffer();
-  BufferRegistry& registry = Buffers();
+ObsThread& CurrentObsThread() {
+  thread_local ObsThread* self = nullptr;
+  if (self == nullptr) {
+    ObsThreadRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    self = new ObsThread(static_cast<uint32_t>(registry.threads.size()));
+    registry.threads.push_back(self);
+  }
+  return *self;
+}
+
+void ForEachObsThread(const std::function<void(ObsThread&)>& fn) {
+  ObsThreadRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
-  buffer->name = std::move(name);
+  for (ObsThread* thread : registry.threads) fn(*thread);
+}
+
+void SetCurrentThreadName(std::string name) {
+  ObsThread& self = CurrentObsThread();
+  std::lock_guard<std::mutex> lock(Registry().mu);
+  self.name = std::move(name);
 }
 
 std::vector<std::pair<uint32_t, std::string>> ThreadNames() {
   std::vector<std::pair<uint32_t, std::string>> names;
-  BufferRegistry& registry = Buffers();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  names.reserve(registry.buffers.size());
-  for (const auto& buffer : registry.buffers) {
-    names.emplace_back(buffer->tid, buffer->name);
-  }
+  ForEachObsThread([&names](ObsThread& thread) {
+    names.emplace_back(thread.tid, thread.name);
+  });
   return names;
 }
 
 std::vector<SpanRecord> SnapshotSpans() {
   std::vector<SpanRecord> out;
-  BufferRegistry& registry = Buffers();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    const uint64_t published =
-        buffer->published.load(std::memory_order_acquire);
-    const uint64_t consumed = buffer->consumed.load(std::memory_order_relaxed);
-    const Block* block = &buffer->head;
-    for (uint64_t i = 0; i < published; ++i) {
-      const size_t slot = i % kBlockSize;
-      if (slot == 0 && i != 0) {
-        block = block->next.load(std::memory_order_acquire);
-      }
-      if (i >= consumed) out.push_back(block->slots[slot]);
+  ForEachObsThread([&out](ObsThread& thread) {
+    if (const SpanThreadState* spans =
+            thread.Find<SpanThreadState>(ThreadSlot::kSpans)) {
+      spans->log.Visit([&out](const SpanRecord& span) { out.push_back(span); });
     }
-  }
+  });
   return out;
 }
 
 void ResetSpans() {
-  BufferRegistry& registry = Buffers();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    buffer->consumed.store(buffer->published.load(std::memory_order_acquire),
-                           std::memory_order_relaxed);
-  }
+  ForEachObsThread([](ObsThread& thread) {
+    if (SpanThreadState* spans =
+            thread.Find<SpanThreadState>(ThreadSlot::kSpans)) {
+      spans->log.Consume([](SpanRecord&) {});
+    }
+  });
 }
 
 std::string ChromeTraceJson() {

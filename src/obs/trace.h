@@ -1,5 +1,5 @@
 // Span tracer: RAII scopes with thread-local parent nesting, lock-free
-// per-thread record buffers merged at flush, explicit parent handoff across
+// per-thread record logs (obs/thread_log.h), explicit parent handoff across
 // ThreadPool::ParallelFor, and a Chrome trace-event exporter
 // (chrome://tracing / Perfetto).
 //
@@ -14,8 +14,8 @@
 // disabled (asserted by tests/obs_test.cc).
 //
 // Enabling: SetTraceEnabled()/SetMetricsEnabled() at runtime, or the TG_TRACE
-// / TG_METRICS environment variables (any non-empty value other than "0") at
-// startup. See docs/observability.md.
+// / TG_METRICS environment variables ("1" on; unset, empty or "0" off; any
+// other value exits 1) at startup. See docs/observability.md.
 #ifndef TG_OBS_TRACE_H_
 #define TG_OBS_TRACE_H_
 
@@ -155,7 +155,7 @@ std::vector<std::string> CurrentSpanStack();
 const char* CurrentSpanName();
 
 // Cross-thread view of the open spans, for /statusz: each entry is one
-// thread that has ever recorded spans, with the names of its currently open
+// thread that has touched obs, with the names of its currently open
 // spans outermost first. Populated only while telemetry span publication is
 // on (SetTelemetrySpansEnabled); the names are read from per-thread atomic
 // slots, so a stack observed mid-transition may be one frame stale but is
@@ -208,7 +208,8 @@ class ParentScope {
 // call it show up as "thread-<tid>".
 void SetCurrentThreadName(std::string name);
 
-// (tid, name) for every thread that recorded spans or registered a name.
+// (tid, name) for every thread that touched obs. The tid is the one every
+// obs artifact uses: SpanRecord::tid, event-log "tid", /statusz threads.
 std::vector<std::pair<uint32_t, std::string>> ThreadNames();
 
 // --- Flush / export ---------------------------------------------------------
@@ -219,7 +220,7 @@ std::vector<std::pair<uint32_t, std::string>> ThreadNames();
 // records are visible. Does not consume.
 std::vector<SpanRecord> SnapshotSpans();
 
-// Marks everything currently published as consumed so the next
+// Consumes everything currently published, freeing its blocks, so the next
 // SnapshotSpans starts fresh. Spans still open stay unaffected (they are
 // recorded on close). For benches/tests sectioning one process run.
 void ResetSpans();

@@ -4,16 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 
 namespace tg {
 namespace {
@@ -23,20 +21,10 @@ std::atomic<size_t> g_thread_override{0};
 thread_local bool t_in_worker = false;
 
 size_t DefaultThreadCount() {
-  static const size_t cached = [] {
-    const char* env = std::getenv("TG_THREADS");
-    if (env != nullptr && env[0] != '\0') {
-      uint64_t v = 0;
-      if (ParseUint64(env, &v) && v > 0) return static_cast<size_t>(v);
-      // Same policy as TG_ISA: a forced knob must never silently fall back.
-      std::fprintf(stderr,
-                   "TG_THREADS=%s: expected a positive decimal integer\n",
-                   env);
-      std::exit(1);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<size_t>(hw > 0 ? hw : 1);
-  }();
+  static const size_t cached = static_cast<size_t>(
+      EnvUint64InRange("TG_THREADS", 1, SIZE_MAX,
+                       "expected a positive decimal integer")
+          .value_or(std::max(1u, std::thread::hardware_concurrency())));
   return cached;
 }
 

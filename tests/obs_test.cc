@@ -5,16 +5,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/evaluation.h"
 #include "core/pipeline.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/thread_log.h"
 #include "obs/trace.h"
 #include "util/json_util.h"
 #include "util/thread_pool.h"
@@ -84,14 +90,108 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
   EXPECT_TRUE(SpansNamed(obs::SnapshotSpans(), "invisible").empty());
 }
 
+// ResetSpans consumes (and frees) the tracer's 256-span blocks. A snapshot
+// after it holds exactly the newer spans, in recording order, with the
+// cursor one past, exactly on and one past a block boundary. A fresh thread
+// starts its log at record 0, so the boundaries fall where the counts say.
 TEST_F(ObsTest, ResetSpansSectionsTheBuffer) {
   obs::SetTraceEnabled(true);
-  { TG_TRACE_SPAN("before_reset"); }
-  obs::ResetSpans();
-  { TG_TRACE_SPAN("after_reset"); }
-  const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
-  EXPECT_TRUE(SpansNamed(spans, "before_reset").empty());
-  EXPECT_EQ(SpansNamed(spans, "after_reset").size(), 1u);
+  std::thread([] {
+    const auto record = [](size_t n, const char* name) {
+      for (size_t i = 0; i < n; ++i) obs::Span span(name);
+    };
+    const auto recorded_in_order = [](const std::vector<obs::SpanRecord>& s) {
+      for (size_t i = 1; i < s.size(); ++i) {
+        if (s[i].id <= s[i - 1].id) return false;
+      }
+      return true;
+    };
+    record(257, "block_a");
+    std::vector<obs::SpanRecord> a =
+        SpansNamed(obs::SnapshotSpans(), "block_a");
+    EXPECT_EQ(a.size(), 257u);
+    EXPECT_TRUE(recorded_in_order(a));
+    obs::ResetSpans();  // cursor 257
+    record(255, "block_b");
+    std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
+    EXPECT_TRUE(SpansNamed(spans, "block_a").empty());
+    const std::vector<obs::SpanRecord> b = SpansNamed(spans, "block_b");
+    EXPECT_EQ(b.size(), 255u);
+    EXPECT_TRUE(recorded_in_order(b));
+    obs::ResetSpans();  // cursor 512: the end of the second block
+    EXPECT_TRUE(SpansNamed(obs::SnapshotSpans(), "block_b").empty());
+    record(2, "block_c");
+    spans = obs::SnapshotSpans();
+    EXPECT_TRUE(SpansNamed(spans, "block_b").empty());
+    EXPECT_EQ(SpansNamed(spans, "block_c").size(), 2u);
+    obs::ResetSpans();  // cursor 514
+    record(1, "block_d");
+    spans = obs::SnapshotSpans();
+    EXPECT_TRUE(SpansNamed(spans, "block_c").empty());
+    EXPECT_EQ(SpansNamed(spans, "block_d").size(), 1u);
+  }).join();
+}
+
+// Every obs artifact names a thread by one dense id: per thread, the
+// event-log "tid", SpanRecord::tid and the ThreadNames() entry agree. The
+// threads reach the event log and the tracer in different orders: two
+// private per-subsystem counters could agree on at most one of "b" and "d",
+// because event-only thread "c" runs between them.
+TEST_F(ObsTest, EventLogTraceAndThreadNamesShareOneTidSpace) {
+  const std::string path = ::testing::TempDir() + "obs_test_tid_space.jsonl";
+  obs::EventLogOptions options;
+  options.flush_interval_ms = 5;
+  ASSERT_TRUE(obs::StartEventLog(path, options).ok());
+  obs::SetTraceEnabled(true);
+  const auto event_only = [](const std::string& label) {
+    obs::EmitEvent("tid_test.event", label);
+  };
+  const auto event_then_span = [](const std::string& label) {
+    obs::SetCurrentThreadName("tid-test-" + label);
+    obs::EmitEvent("tid_test.event", label);
+    obs::Span span("tid_test_span", label);
+  };
+  const auto span_then_event = [](const std::string& label) {
+    obs::SetCurrentThreadName("tid-test-" + label);
+    { obs::Span span("tid_test_span", label); }
+    obs::EmitEvent("tid_test.event", label);
+  };
+  std::thread(event_only, "a").join();
+  std::thread(event_then_span, "b").join();
+  std::thread(event_only, "c").join();
+  std::thread(span_then_event, "d").join();
+  obs::StopEventLog();
+  obs::SetTraceEnabled(false);
+
+  std::map<std::string, uint32_t> event_tids;
+  std::ifstream file(path);
+  std::string line;
+  while (std::getline(file, line)) {
+    Result<JsonValue> parsed = JsonValue::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    const JsonValue& record = parsed.value();
+    if (record.Find("kind")->AsString() != "tid_test.event") continue;
+    event_tids[record.Find("msg")->AsString()] =
+        static_cast<uint32_t>(record.Find("tid")->AsDouble());
+  }
+  std::map<std::string, uint32_t> span_tids;
+  for (const obs::SpanRecord& span :
+       SpansNamed(obs::SnapshotSpans(), "tid_test_span")) {
+    span_tids[span.detail] = span.tid;
+  }
+  std::map<uint32_t, std::string> names;
+  for (const auto& [tid, name] : obs::ThreadNames()) names[tid] = name;
+
+  ASSERT_EQ(event_tids.size(), 4u);
+  ASSERT_EQ(span_tids.size(), 2u);
+  for (const std::string label : {"b", "d"}) {
+    EXPECT_EQ(event_tids[label], span_tids[label]) << label;
+    EXPECT_EQ(names[span_tids[label]], "tid-test-" + label) << label;
+  }
+  for (const std::string label : {"a", "c"}) {
+    const uint32_t tid = event_tids[label];
+    EXPECT_EQ(names[tid], "thread-" + std::to_string(tid)) << label;
+  }
 }
 
 TEST_F(ObsTest, ParallelForHandsParentToPoolWorkers) {
@@ -358,6 +458,105 @@ TEST_F(ObsTest, SweepPrefillSpanNestsUnderTheDriver) {
                               return s.parent == prefills[0].id;
                             }))
         << child << " has no span under sweep_prefill";
+  }
+}
+
+// --- ThreadLog ----------------------------------------------------------------
+
+struct LogRecord {
+  uint32_t writer = 0;
+  uint64_t seq = 0;
+  // Longer than the small-string buffer, so it lives on the heap and a read
+  // of a freed block is an ASan report.
+  std::string payload;
+};
+
+std::string PayloadFor(uint64_t seq) {
+  return "record-" + std::to_string(seq) + "-on-the-heap-not-inline";
+}
+
+constexpr size_t kTestBlockRecords = 8;
+using TestLog = obs::ThreadLog<LogRecord, kTestBlockRecords>;
+
+std::vector<uint64_t> VisitedSeqs(const TestLog& log) {
+  std::vector<uint64_t> seqs;
+  log.Visit([&seqs](const LogRecord& r) {
+    EXPECT_EQ(r.payload, PayloadFor(r.seq));
+    seqs.push_back(r.seq);
+  });
+  return seqs;
+}
+
+std::vector<uint64_t> ConsumedSeqs(TestLog& log) {
+  std::vector<uint64_t> seqs;
+  log.Consume([&seqs](LogRecord& r) {
+    EXPECT_EQ(r.payload, PayloadFor(r.seq));
+    seqs.push_back(r.seq);
+  });
+  return seqs;
+}
+
+TEST(ThreadLogTest, AppendsOnAndPastABlockBoundary) {
+  for (const size_t n : {kTestBlockRecords, kTestBlockRecords + 1}) {
+    TestLog log;
+    std::vector<uint64_t> all;
+    for (uint64_t i = 0; i < n; ++i) {
+      log.Append({0, i, PayloadFor(i)});
+      all.push_back(i);
+    }
+    EXPECT_EQ(VisitedSeqs(log), all) << n;
+    EXPECT_EQ(VisitedSeqs(log), all) << n;  // Visit consumes nothing
+    EXPECT_EQ(ConsumedSeqs(log), all) << n;
+    EXPECT_TRUE(VisitedSeqs(log).empty()) << n;
+    EXPECT_TRUE(ConsumedSeqs(log).empty()) << n;
+    log.Append({0, n, PayloadFor(n)});
+    EXPECT_EQ(VisitedSeqs(log), std::vector<uint64_t>{n}) << n;
+    EXPECT_EQ(ConsumedSeqs(log), std::vector<uint64_t>{n}) << n;
+  }
+}
+
+// Four writers append while one reader alternates Visit and Consume: Visit
+// sees a gap-free run from the cursor on, and Consume sees every record
+// exactly once, in each writer's order, while freeing blocks behind it.
+TEST(ThreadLogTest, ConcurrentWritersAreConsumedOnceInOrder) {
+  constexpr uint32_t kWriters = 4;
+  constexpr uint64_t kRecords = 20000;
+  std::vector<std::unique_ptr<TestLog>> logs;
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    logs.push_back(std::make_unique<TestLog>());
+  }
+  std::vector<std::thread> writers;
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&logs, w] {
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        logs[w]->Append({w, i, PayloadFor(i)});
+      }
+    });
+  }
+  std::vector<uint64_t> next(kWriters, 0);
+  bool in_order = true;
+  const auto check = [&in_order](const LogRecord& r, uint32_t w,
+                                 uint64_t want) {
+    if (r.writer != w || r.seq != want || r.payload != PayloadFor(want)) {
+      in_order = false;
+    }
+  };
+  for (bool done = false; !done;) {
+    done = true;
+    for (uint32_t w = 0; w < kWriters; ++w) {
+      uint64_t visited = next[w];
+      logs[w]->Visit(
+          [&](const LogRecord& r) { check(r, w, visited++); });
+      logs[w]->Consume([&](LogRecord& r) { check(r, w, next[w]++); });
+      EXPECT_GE(next[w], visited);
+      if (next[w] < kRecords) done = false;
+    }
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_TRUE(in_order);
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(next[w], kRecords) << w;
+    EXPECT_TRUE(VisitedSeqs(*logs[w]).empty()) << w;
   }
 }
 

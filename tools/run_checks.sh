@@ -11,7 +11,8 @@
 # ratio gates), a knob-strictness gate (hard-error checks for TG_THREADS,
 # TG_TRACE=yes, TG_TELEMETRY_PORT, TG_EVENT_LOG_RATE, a malformed TG_FAULT,
 # a malformed --models flag, an unknown tg_cli flag, bare path-valued
-# flags and --learner none with graph features) with a
+# flags, flags of the other sweep mode and --learner none with graph
+# features) with a
 # random-forest rank smoke under ASan, a distributed-sweep chaos gate
 # (the serial checkpointed sweep must be byte-identical at TG_THREADS=1
 # and the default thread count; three workers sharing a workdir with one
@@ -27,7 +28,8 @@
 # collapsed-stack file, the profiler test suite must pass under ASan (the
 # TSan ctest pass above covers the signal handler's race freedom), and a
 # forced TG_FAULT=perf_open=always run must degrade to a labeled
-# "perf counters unavailable" state with a clean exit.
+# "perf counters unavailable" state with a clean exit; the obs, profiler
+# and telemetry suites also run under ASan after the telemetry gate.
 #
 # Usage: tools/run_checks.sh [--skip-tsan] [--skip-ubsan]
 # TG_BENCH_SPEEDUPS=0 skips the multi-second speedup section AND the
@@ -393,13 +395,17 @@ if [ "$BAD_FLAG_RC" -ne 2 ] || [[ "$BAD_FLAG_ERR" != *"--bogus"* ]]; then
   exit 1
 fi
 # A bare path-valued flag is a usage error naming it (never a silent
-# fallback to the serial sweep or to no checkpoint), and `--learner none`
-# cannot build graph features: exit 2 naming both values, never 134.
-# Each case is "expected stderr text|tg_cli arguments".
+# fallback to the serial sweep or to no checkpoint), as is a flag of the
+# other sweep mode (worker flags without --workdir, --checkpoint with it),
+# and `--learner none` cannot build graph features: exit 2 naming both
+# values, never 134. Each case is "expected stderr text|tg_cli arguments".
 for CASE in "--workdir|sweep --workdir --worker-id w1" \
     "--checkpoint|sweep --checkpoint --no-degrade" \
     "--worker-id|sweep --workdir /nonexistent --worker-id" \
     "--out|sweep-merge --workdir /nonexistent --out" \
+    "--worker-id requires --workdir|sweep --worker-id w1" \
+    "--lease-sec requires --workdir|sweep --lease-sec 5" \
+    "--checkpoint does not apply with --workdir|sweep --workdir /nonexistent --worker-id w1 --checkpoint /nonexistent/c.json" \
     "--features all|rank --target 0 --learner none"; do
   WANT="${CASE%%|*}"
   set +e
@@ -627,8 +633,13 @@ echo "injected telemetry_bind fault degraded cleanly"
 
 # The telemetry suite under ASan (socket/buffer lifetimes in the server and
 # the event-log drainer); the TSan ctest pass above already ran it for race
-# freedom (scrape-during-ParallelFor, cross-thread span stacks).
-cmake --build build-asan -j "$JOBS" --target obs_telemetry_test
+# freedom (scrape-during-ParallelFor, cross-thread span stacks). obs_test
+# and obs_profiler_test run here too: the tracer, event log and profiler
+# share the per-thread ThreadLog, whose readers free consumed blocks.
+cmake --build build-asan -j "$JOBS" \
+    --target obs_telemetry_test obs_test obs_profiler_test
 ./build-asan/tests/obs_telemetry_test
+./build-asan/tests/obs_test
+./build-asan/tests/obs_profiler_test
 
 section "all checks passed"

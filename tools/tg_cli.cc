@@ -609,10 +609,20 @@ int RunSweep(const CliArgs& args) {
   if (!parsed_config.ok()) return UsageError(parsed_config.status());
   const core::PipelineConfig& config = parsed_config.value();
 
-  const std::string workdir = args.Get("workdir", "");
-  if (!workdir.empty()) {
-    return RunSweepWorkerCli(args, config, modality.value());
+  // A flag of the other sweep mode is a usage error, never silently dropped.
+  const bool distributed = !args.Get("workdir", "").empty();
+  if (distributed && args.options.count("checkpoint") > 0) {
+    return UsageError(Status::InvalidArgument(
+        "--checkpoint does not apply with --workdir (sweep-merge writes the "
+        "merged checkpoint)"));
   }
+  for (const char* flag : {"worker-id", "lease-sec"}) {
+    if (!distributed && args.options.count(flag) > 0) {
+      return UsageError(Status::InvalidArgument(std::string("--") + flag +
+                                                " requires --workdir"));
+    }
+  }
+  if (distributed) return RunSweepWorkerCli(args, config, modality.value());
 
   core::SweepOptions options;
   options.checkpoint_path = args.Get("checkpoint", "");
