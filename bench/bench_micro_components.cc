@@ -349,6 +349,29 @@ void ReportParallelSpeedups() {
     benchmark::DoNotOptimize(walker.GenerateAll(&rng));
   });
 
+  // The production cold path: LogME over every (image model, public image
+  // dataset) pair of a fresh zoo (400 x 32 features each, extraction
+  // included), then walks over the zoo's image graph (258 nodes, complete
+  // D-D block, up to three parallel typed edges per M-D pair). Each run
+  // builds its own zoo and warms the dataset samples outside the span.
+  zoo::ModelZoo graph_zoo;
+  const Graph zoo_graph =
+      core::BuildModelZooGraph(&graph_zoo, zoo::Modality::kImage, {}).graph;
+  ReportOneSpeedup("logme_fill", "logme_fill", [] {
+    zoo::ModelZoo fresh;
+    const std::vector<size_t> datasets =
+        fresh.PublicDatasets(zoo::Modality::kImage);
+    for (size_t d : datasets) fresh.world().Samples(d);
+    TG_TRACE_SPAN("logme_fill");
+    fresh.FillScores(zoo::Estimator::kLogMe,
+                     fresh.ModelsOfModality(zoo::Modality::kImage), datasets);
+  });
+  RandomWalkGenerator zoo_walker(zoo_graph, Node2VecConfig{}.walk);
+  ReportOneSpeedup("walk_corpus_zoo", "walk_corpus", [&] {
+    Rng rng(11);
+    benchmark::DoNotOptimize(zoo_walker.GenerateAll(&rng));
+  });
+
   std::vector<std::vector<uint32_t>> corpus;
   {
     Rng rng(11);

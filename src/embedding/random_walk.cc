@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -38,23 +37,19 @@ RandomWalkGenerator::RandomWalkGenerator(const Graph& graph,
   }
 }
 
-double RandomWalkGenerator::EdgeWeightBetween(NodeId a, NodeId b) const {
-  // Multiple typed edges may connect the same pair; their mass adds up.
-  double total = 0.0;
-  const auto& smaller =
-      graph_.degree(a) <= graph_.degree(b) ? graph_.neighbors(a)
-                                           : graph_.neighbors(b);
-  const NodeId other = graph_.degree(a) <= graph_.degree(b) ? b : a;
-  for (const Neighbor& n : smaller) {
-    if (n.node == other) total += std::max(n.weight, 0.0);
-  }
-  return total;
-}
-
 double RandomWalkGenerator::TransitionBias(NodeId prev,
                                            NodeId candidate) const {
+  // Multiple typed edges may connect the same pair; their mass adds up.
+  double w_ct = 0.0;
+  for (const Neighbor& n : graph_.neighbors(prev)) {
+    if (n.node == candidate) w_ct += std::max(n.weight, 0.0);
+  }
+  return BiasGivenWeight(prev, candidate, w_ct);
+}
+
+double RandomWalkGenerator::BiasGivenWeight(NodeId prev, NodeId candidate,
+                                            double w_ct) const {
   if (candidate == prev) return 1.0 / config_.p;
-  const double w_ct = EdgeWeightBetween(candidate, prev);
   if (!config_.extended) {
     // Classic node2vec: any edge to the previous node counts as "in".
     return w_ct > 0.0 ? 1.0 : 1.0 / config_.q;
@@ -80,17 +75,28 @@ std::vector<NodeId> RandomWalkGenerator::Walk(NodeId start, Rng* rng) const {
   NodeId cur = graph_.neighbors(start)[first_step_[start].Sample(rng)].node;
   walk.push_back(cur);
 
+  // weight_to_prev[x] = w(x, prev), scattered from prev's adjacency and
+  // cleared after each step: O(deg(prev) + deg(cur)). AddUndirectedEdge
+  // appends a pair's parallel edges to both endpoints' lists in one order,
+  // so the sum matches a scan of either list bit for bit.
+  std::vector<double> weight_to_prev(graph_.num_nodes(), 0.0);
   std::vector<double> biased;
   while (static_cast<int>(walk.size()) < config_.walk_length) {
     const auto& nbrs = graph_.neighbors(cur);
     if (nbrs.empty()) break;
+    const auto& prev_nbrs = graph_.neighbors(prev);
+    for (const Neighbor& n : prev_nbrs) {
+      weight_to_prev[n.node] += std::max(n.weight, 0.0);
+    }
     biased.resize(nbrs.size());
     double total = 0.0;
     for (size_t i = 0; i < nbrs.size(); ++i) {
+      const NodeId x = nbrs[i].node;
       biased[i] = std::max(nbrs[i].weight, 1e-9) *
-                  TransitionBias(prev, nbrs[i].node);
+                  BiasGivenWeight(prev, x, weight_to_prev[x]);
       total += biased[i];
     }
+    for (const Neighbor& n : prev_nbrs) weight_to_prev[n.node] = 0.0;
     // Inverse-CDF over the (small) neighbor list.
     double u = rng->NextDouble() * total;
     size_t pick = nbrs.size() - 1;

@@ -53,7 +53,8 @@ class RandomWalkGenerator {
   double TransitionBias(NodeId prev, NodeId candidate) const;
 
  private:
-  double EdgeWeightBetween(NodeId a, NodeId b) const;
+  // The bias given w_ct, the summed weight of the candidate-prev edges.
+  double BiasGivenWeight(NodeId prev, NodeId candidate, double w_ct) const;
 
   const Graph& graph_;
   WalkConfig config_;

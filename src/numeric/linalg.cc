@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "numeric/kernels.h"
@@ -67,8 +68,7 @@ Result<Matrix> CholeskySolve(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-Result<EigenDecomposition> SymmetricEigen(const Matrix& a, int max_sweeps,
-                                          double tol) {
+Result<EigenDecomposition> SymmetricEigen(const Matrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("eigendecomposition requires square input");
   }
@@ -82,60 +82,127 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& a, int max_sweeps,
       }
     }
   }
+  EigenDecomposition out;
+  if (n == 0) return out;
 
-  Matrix d = a;
-  Matrix v = Matrix::Identity(n);
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) off += d(i, j) * d(i, j);
+  // Householder tridiagonalization A = Q T Q^T (Golub & Van Loan, Alg.
+  // 8.3.1): step k reflects the trailing block k+1.. by H_k = I - beta v v^T
+  // and keeps v in row k of t. d/e get T's diagonal and off-diagonal.
+  Matrix t = a;
+  std::vector<double> d(n), e(n, 0.0), beta(n, 0.0), w(n);
+  for (size_t k = 0; k + 1 < n; ++k) {
+    double* v = t.RowPtr(k);  // v[j] for j > k
+    e[k] = v[k + 1];
+    double norm2 = 0.0;
+    for (size_t j = k + 2; j < n; ++j) norm2 += v[j] * v[j];
+    if (norm2 == 0.0) continue;  // row k is already tridiagonal
+    norm2 += v[k + 1] * v[k + 1];
+    e[k] = v[k + 1] > 0.0 ? -std::sqrt(norm2) : std::sqrt(norm2);
+    beta[k] = 1.0 / (norm2 - e[k] * v[k + 1]);  // 2 / v^T v
+    v[k + 1] -= e[k];
+    // Block <- H B H = B - v w^T - w v^T, w = p - (beta/2)(p^T v) v and
+    // p = beta B v.
+    double pv = 0.0;
+    for (size_t i = k + 1; i < n; ++i) {
+      const double* ti = t.RowPtr(i);
+      double acc = 0.0;
+      for (size_t j = k + 1; j < n; ++j) acc += ti[j] * v[j];
+      w[i] = beta[k] * acc;
+      pv += w[i] * v[i];
     }
-    if (off < tol * tol) break;
-
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        if (std::fabs(d(p, q)) < 1e-300) continue;
-        const double theta = (d(q, q) - d(p, p)) / (2.0 * d(p, q));
-        const double t = (theta >= 0 ? 1.0 : -1.0) /
-                         (std::fabs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        for (size_t k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
-          const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
-          d(k, q) = s * dkp + c * dkq;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
+    for (size_t i = k + 1; i < n; ++i) w[i] -= 0.5 * beta[k] * pv * v[i];
+    for (size_t i = k + 1; i < n; ++i) {
+      double* ti = t.RowPtr(i);
+      for (size_t j = k + 1; j < n; ++j) ti[j] -= v[i] * w[j] + w[i] * v[j];
+    }
+  }
+  for (size_t i = 0; i < n; ++i) d[i] = t(i, i);
+  // z = Q^T = H_{n-3} ... H_0, built right to left so each H_k only touches
+  // the trailing block. The QL rotations below then act on contiguous rows
+  // of z, and row j ends as eigenvector j.
+  Matrix z = Matrix::Identity(n);
+  for (size_t k = n; k-- > 0;) {
+    if (beta[k] == 0.0) continue;
+    const double* v = t.RowPtr(k);
+    for (size_t r = k + 1; r < n; ++r) {
+      double* zr = z.RowPtr(r);
+      double dot = 0.0;
+      for (size_t j = k + 1; j < n; ++j) dot += zr[j] * v[j];
+      for (size_t j = k + 1; j < n; ++j) zr[j] -= beta[k] * dot * v[j];
     }
   }
 
-  // Sort ascending by eigenvalue, permuting eigenvector columns alongside.
+  // Implicit QL with Wilkinson shifts (EISPACK tql2) on (d, e).
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr int kMaxIterations = 64;  // per eigenvalue; ~2 is typical
+  double shift = 0.0;
+  double tst1 = 0.0;
+  for (size_t l = 0; l < n; ++l) {
+    tst1 = std::max(tst1, std::fabs(d[l]) + std::fabs(e[l]));
+    size_t m = l;
+    while (m + 1 < n && std::fabs(e[m]) > kEps * tst1) ++m;
+    for (int iter = 0; m > l && std::fabs(e[l]) > kEps * tst1; ++iter) {
+      if (iter == kMaxIterations) {
+        return Status::Internal("QL eigensolver did not converge");
+      }
+      double g = d[l];
+      double p = (d[l + 1] - g) / (2.0 * e[l]);
+      const double r = std::copysign(std::hypot(p, 1.0), p);
+      d[l] = e[l] / (p + r);
+      d[l + 1] = e[l] * (p + r);
+      const double dl1 = d[l + 1];
+      double h = g - d[l];
+      for (size_t i = l + 2; i < n; ++i) d[i] -= h;
+      shift += h;
+      p = d[m];
+      double c = 1.0, c2 = 1.0, c3 = 1.0, s = 0.0, s2 = 0.0;
+      const double el1 = e[l + 1];
+      for (size_t i = m; i-- > l;) {
+        c3 = c2;
+        c2 = c;
+        s2 = s;
+        g = c * e[i];
+        h = c * p;
+        // |p|, |e[i]| stay O(||A||): unscaled, this overflows only for
+        // ||A|| near 1e154, and std::hypot would cost a fifth of the solver.
+        const double rr = std::sqrt(p * p + e[i] * e[i]);
+        e[i + 1] = s * rr;
+        s = e[i] / rr;
+        c = p / rr;
+        p = c * d[i] - s * g;
+        d[i + 1] = h + s * (c * g + s * d[i]);
+        double* zi = z.RowPtr(i);
+        double* zi1 = z.RowPtr(i + 1);
+        for (size_t k = 0; k < n; ++k) {
+          const double x = zi1[k];
+          zi1[k] = s * zi[k] + c * x;
+          zi[k] = c * zi[k] - s * x;
+        }
+      }
+      p = -s * s2 * c3 * el1 * e[l] / dl1;
+      e[l] = s * p;
+      d[l] = c * p;
+    }
+    d[l] += shift;
+    e[l] = 0.0;
+  }
+
+  // Ascending eigenvalues; each eigenvector's largest-magnitude component
+  // (first on ties) is made positive so the output is sign-deterministic.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](size_t x, size_t y) { return d(x, x) < d(y, y); });
-
-  EigenDecomposition out;
+            [&](size_t x, size_t y) { return d[x] < d[y]; });
   out.eigenvalues.resize(n);
   out.eigenvectors = Matrix(n, n);
   for (size_t c = 0; c < n; ++c) {
-    out.eigenvalues[c] = d(order[c], order[c]);
-    for (size_t r = 0; r < n; ++r) out.eigenvectors(r, c) = v(r, order[c]);
+    const double* v = z.RowPtr(order[c]);
+    const double* big = std::max_element(v, v + n, [](double x, double y) {
+      return std::fabs(x) < std::fabs(y);
+    });
+    const double sign = *big < 0.0 ? -1.0 : 1.0;
+    out.eigenvalues[c] = d[order[c]];
+    for (size_t r = 0; r < n; ++r) out.eigenvectors(r, c) = sign * v[r];
   }
   return out;
 }

@@ -1,6 +1,6 @@
 // Dense linear-algebra routines needed by the library:
 //   * Cholesky factorization / SPD solve  (ridge regression, LogME)
-//   * Jacobi eigendecomposition of symmetric matrices
+//   * symmetric eigendecomposition (Householder tridiagonalization + QL)
 //   * thin SVD via the Gram-matrix eigendecomposition (LogME)
 // Problem sizes are small (feature dims <= a few hundred), so numerically
 // robust O(n^3) classics are the right tool.
@@ -34,10 +34,11 @@ Result<Matrix> CholeskyFactor(const Matrix& a);
 // Solves A x = b for SPD A via Cholesky. b may have multiple columns.
 Result<Matrix> CholeskySolve(const Matrix& a, const Matrix& b);
 
-// Cyclic Jacobi method. `a` must be symmetric.
-Result<EigenDecomposition> SymmetricEigen(const Matrix& a,
-                                          int max_sweeps = 64,
-                                          double tol = 1e-12);
+// Householder tridiagonalization followed by implicit QL with Wilkinson
+// shifts. `a` must be symmetric. Eigenvalues come out ascending; each
+// eigenvector's largest-magnitude component is positive. Fails if QL does
+// not converge.
+Result<EigenDecomposition> SymmetricEigen(const Matrix& a);
 
 // Thin SVD computed from the eigendecomposition of A^T A (d x d), suitable
 // for the tall-skinny feature matrices used by LogME. Singular values below

@@ -277,13 +277,17 @@ Matrix SyntheticWorld::ExtractFromLatent(const ModelParams& params,
       scaled[l] = params.skill[l] * latent(i, l) *
                   std::sqrt(static_cast<double>(config_.latent_dim));
     }
+    // bias + sum_l scaled[l] * projection(l, .) with f innermost (contiguous
+    // rows); each f still adds its terms in l order, so bits are unchanged.
+    double* out = features.RowPtr(i);
+    std::copy(params.bias.begin(), params.bias.end(), out);
+    for (size_t l = 0; l < config_.latent_dim; ++l) {
+      const double* proj = params.projection.RowPtr(l);
+      const double s = scaled[l];
+      for (size_t f = 0; f < config_.feature_dim; ++f) out[f] += s * proj[f];
+    }
     for (size_t f = 0; f < config_.feature_dim; ++f) {
-      double acc = params.bias[f];
-      for (size_t l = 0; l < config_.latent_dim; ++l) {
-        acc += scaled[l] * params.projection(l, f);
-      }
-      features(i, f) =
-          std::tanh(acc) + params.feature_noise * noise.NextGaussian();
+      out[f] = std::tanh(out[f]) + params.feature_noise * noise.NextGaussian();
     }
   }
   return features;

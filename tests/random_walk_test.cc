@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,80 @@ Graph TriangleWithTail() {
   g.AddUndirectedEdge(0, 2, EdgeType::kDatasetDataset, 1.0);
   g.AddUndirectedEdge(2, 3, EdgeType::kDatasetDataset, 1.0);
   return g;
+}
+
+// Zoo-shaped: a complete dataset-dataset block plus model-dataset edges,
+// where model 0 and its source dataset 0 carry three parallel typed edges
+// (pre-train accuracy, history accuracy and LogME), as in the zoo graph.
+Graph ZooShapedGraph() {
+  Graph g;
+  constexpr NodeId kDatasets = 8;
+  constexpr NodeId kModels = 6;
+  for (NodeId i = 0; i < kDatasets; ++i) {
+    g.AddNode(NodeType::kDataset, "d" + std::to_string(i));
+  }
+  for (NodeId i = 0; i < kModels; ++i) {
+    g.AddNode(NodeType::kModel, "m" + std::to_string(i));
+  }
+  Rng rng(42);
+  for (NodeId a = 0; a < kDatasets; ++a) {
+    for (NodeId b = a + 1; b < kDatasets; ++b) {
+      g.AddUndirectedEdge(a, b, EdgeType::kDatasetDataset,
+                          0.05 + rng.NextDouble());
+    }
+  }
+  // Light enough that node2vec+ does not clamp their sum at its threshold,
+  // so w(m0, d0) must add all three.
+  const NodeId m0 = kDatasets;
+  g.AddUndirectedEdge(m0, 0, EdgeType::kModelDatasetAccuracy, 0.05);
+  g.AddUndirectedEdge(m0, 0, EdgeType::kModelDatasetAccuracy, 0.15);
+  g.AddUndirectedEdge(m0, 0, EdgeType::kModelDatasetTransferability, 0.1);
+  for (NodeId m = 0; m < kModels; ++m) {
+    for (NodeId k = 1; k <= 3; ++k) {
+      g.AddUndirectedEdge(kDatasets + m, (m + 2 * k) % kDatasets,
+                          k == 2 ? EdgeType::kModelDatasetTransferability
+                                 : EdgeType::kModelDatasetAccuracy,
+                          0.2 + 0.8 * rng.NextDouble());
+    }
+  }
+  return g;
+}
+
+uint64_t WalkDigest(const std::vector<std::vector<NodeId>>& walks) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::vector<NodeId>& walk : walks) {
+    mix(walk.size());
+    for (NodeId node : walk) mix(node);
+  }
+  return h;
+}
+
+// Pins the exact walks of both bias rules: the RNG stream, the bias, and a
+// w(candidate, prev) that sums every parallel edge of the pair.
+TEST(RandomWalkTest, GenerateAllMatchesGoldenDigest) {
+  Graph g = ZooShapedGraph();
+  WalkConfig classic;
+  classic.walks_per_node = 4;
+  classic.walk_length = 30;
+  classic.p = 0.5;
+  classic.q = 2.0;
+  WalkConfig extended = classic;
+  extended.q = 0.25;
+  extended.extended = true;
+  Rng classic_rng(17);
+  Rng extended_rng(17);
+  EXPECT_EQ(WalkDigest(RandomWalkGenerator(g, classic)
+                           .GenerateAll(&classic_rng)),
+            0x3068576882d4de63ULL);
+  EXPECT_EQ(WalkDigest(RandomWalkGenerator(g, extended)
+                           .GenerateAll(&extended_rng)),
+            0xeb6ff6b62252d0c2ULL);
 }
 
 TEST(RandomWalkTest, WalkLengthRespected) {

@@ -167,11 +167,19 @@ else
   # over 26 alternating runs here, the builder that filled every node's
   # histograms from its rows took 0.301-0.509s (median 0.380s) and the
   # sibling-subtraction builder 0.194-0.360s (median 0.278s).
+  # logme_fill@1 (LogME over the fresh zoo's 2035 image pairs, extraction
+  # included) and walk_corpus_zoo@1 (node2vec walks over the zoo's image
+  # graph) time the cold path. Over alternating runs here, cyclic Jacobi
+  # and the per-candidate walk scan took 2.82-3.27s and 0.43-0.57s, the QL
+  # eigensolver and the O(deg) walk step 1.89-2.95s (median 2.0s) and
+  # 0.053-0.088s. The logme_fill ranges overlap under host steal, so its
+  # 3.2s ceiling sits above every run of the current code and only trips
+  # on a gross regression; the walk ceiling sits far below the old code.
   ./build-release/tools/bench_history compare \
       --history bench_csv/BENCH_history.json \
       --max-time-ratio 1.60 --min-seconds 0.05 \
       --stage-max-ratio "skipgram_sharded@1=1.25,random_forest_fit@1=1.25" \
-      --stage-max-seconds "random_forest_fit@1=0.38,gbdt_fit@1=0.37" \
+      --stage-max-seconds "random_forest_fit@1=0.38,gbdt_fit@1=0.37,logme_fill@1=3.2,walk_corpus_zoo@1=0.15" \
       --min-ipc-ratio 0.70 --max-cache-miss-ratio 2.0
   # Gate self-test: a synthetic 2x stage-time regression must make the
   # compare exit non-zero, otherwise the gate is decorative.
